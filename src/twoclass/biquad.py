@@ -9,7 +9,6 @@ classes, and evaluates Kuroda's class number formula.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,8 +19,7 @@ from .quadfield import (
     fundamental_unit,
     quadratic_field,
     sign_of_quadratic,
-    sqrt_rational,
-    unit_norm,
+    sqrt_in_quadratic,
 )
 
 
@@ -35,10 +33,6 @@ class NonIntegral(ValueError):
 
 class Inconsistent(ValueError):
     """Rank exceeds what the group order allows."""
-
-
-class PrecisionExhausted(RuntimeError):
-    """Kept for API compatibility; the exact square solver never raises it."""
 
 
 @dataclass(frozen=True)
@@ -171,16 +165,6 @@ class BiquadNumber:
             for fd in (False, True)
         )
 
-    def __float__(self) -> float:
-        d = self.field.d.value
-        x0, x1, x2, x3 = self.coordinates
-        return (
-            float(x0)
-            + float(x1) * math.sqrt(2)
-            + float(x2) * math.sqrt(d)
-            + float(x3) * math.sqrt(2 * d)
-        )
-
 
 # elements of the base field F = Q(sqrt(2)) as plain (u, v) pairs
 
@@ -200,32 +184,6 @@ def _f_div(x, y):
     return ((x[0] * y[0] - 2 * x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
 
 
-def _f_sqrt(x):
-    """Exact square root in Q(sqrt(2)), or None."""
-    u, v = Fraction(x[0]), Fraction(x[1])
-    if u == 0 and v == 0:
-        return (Fraction(0), Fraction(0))
-    if v == 0:
-        r = sqrt_rational(u)
-        if r is not None:
-            return (r, Fraction(0))
-        r = sqrt_rational(u / 2)
-        if r is not None:
-            return (Fraction(0), r)
-        return None
-    n = u * u - 2 * v * v
-    s = sqrt_rational(n)
-    if s is None:
-        return None
-    for t in ((u + s) / 2, (u - s) / 2):
-        c = sqrt_rational(t)
-        if c:
-            e = v / (2 * c)
-            if c * c + 2 * e * e == u:
-                return (c, e)
-    return None
-
-
 def sqrt_in_K1(x: BiquadNumber):
     """An exact square root of x in K1, or None.
 
@@ -240,24 +198,24 @@ def sqrt_in_K1(x: BiquadNumber):
     B = (x2, x3)
     root = None
     if B == (0, 0):
-        c = _f_sqrt(A)
+        c = sqrt_in_quadratic(*A, 2)
         if c is not None:
             root = (c[0], c[1], Fraction(0), Fraction(0))
         else:
-            c = _f_sqrt((A[0] / d, A[1] / d))
+            c = sqrt_in_quadratic(A[0] / d, A[1] / d, 2)
             if c is not None:
                 root = (Fraction(0), Fraction(0), c[0], c[1])
     else:
         bb = _f_mul(B, B)
         n = _f_sub(_f_mul(A, A), (d * bb[0], d * bb[1]))
-        s = _f_sqrt(n)
+        s = sqrt_in_quadratic(*n, 2)
         if s is not None:
             two = (Fraction(2), Fraction(0))
             for t in (
                 _f_div((A[0] + s[0], A[1] + s[1]), two),
                 _f_div((A[0] - s[0], A[1] - s[1]), two),
             ):
-                c = _f_sqrt(t)
+                c = sqrt_in_quadratic(*t, 2)
                 if c is not None and c != (0, 0):
                     dd = _f_div(B, (2 * c[0], 2 * c[1]))
                     cand = (c[0], c[1], dd[0], dd[1])
@@ -339,20 +297,6 @@ def _f2_rank(vectors) -> int:
 def hasse_unit_index(field: BiquadField) -> int:
     """Q(K1) = [E(K1) : <-1, e1, e2, e3>] = 2^rank of the square relations."""
     return 1 << _f2_rank(unit_square_relations(field))
-
-
-def matching_unit_system(field: BiquadField) -> str:
-    """Label of the fundamental-unit system consistent with the square
-    relations actually found (recorded for cross-checking, not used)."""
-    rel = set(unit_square_relations(field))
-    names = ("e1", "e2", "e3")
-    if not rel:
-        return "{e1, e2, e3}"
-    parts = []
-    for v in sorted(rel):
-        prod = "".join(names[i] for i in range(3) if v[i])
-        parts.append(f"sqrt({prod})")
-    return "{" + ", ".join(parts) + " adjoined}"
 
 
 def kuroda_order(Q: int, hA_K: int, hA_Kprime: int, hA_Qsqrt2: int) -> int:

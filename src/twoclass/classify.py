@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .arith import (
+    FactoredSquarefree,
     as_factored,
     is_prime,
     kronecker,
@@ -39,14 +40,9 @@ from .biquad import (
     kuroda_order,
     structure_from_rank_and_order,
 )
-from .forms import (
-    Abelian2Group,
-    class_group_summary,
-    ordinary_class_group,
-    two_sylow,
-)
+from .forms import Abelian2Group, class_group_summary
 from .genus import genus_rank, narrow_genus_rank
-from .quadfield import discriminant, unit_norm
+from .quadfield import discriminant
 
 
 class OutOfTable(ValueError):
@@ -698,9 +694,13 @@ def verify_against_oracle(
     d, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> OracleComparison:
     """Replay the prediction's oracle-checkable claims against form class
-    groups: ranks always, structures and the Kuroda chain when predicted."""
-    fs = as_factored(d)
-    report = predict(fs)
+    groups: ranks always, structures and the Kuroda chain when predicted.
+
+    d may be the PredictionReport the caller already holds for the field;
+    it is used as is.  Every check reads the cached class-group summaries.
+    """
+    report = d if isinstance(d, PredictionReport) else predict(d)
+    fs = FactoredSquarefree(report.d, report.primes)
     D = discriminant(fs)
     Dprime = 8 * fs.value
     if max(D, Dprime) > oracle_limit:
@@ -730,7 +730,7 @@ def verify_against_oracle(
         ),
     ]
     if report.structure_K is not None:
-        observed = two_sylow(ordinary_class_group(D, unit_norm(fs.value)))
+        observed = sK.two_sylow()
         checks.append(
             OracleCheck(
                 "structure A(K)",
@@ -740,7 +740,7 @@ def verify_against_oracle(
             )
         )
     if report.structure_Kprime is not None:
-        observed = two_sylow(ordinary_class_group(Dprime, unit_norm(2 * fs.value)))
+        observed = sKp.two_sylow()
         checks.append(
             OracleCheck(
                 "structure A(K')",

@@ -3,8 +3,8 @@
 Subcommands: classify, enumerate, find-primes, verify, unit, classgroup,
 s1s2.  Output is a JSON report document (schema documented in
 docs/report-schema.md) or CSV rows for sweeps with --csv.  Exit codes:
-0 success, 1 usage error, 2 verification mismatch, 3 oracle range or
-precision exhaustion.
+0 success, 1 usage error, 2 verification mismatch, 3 oracle range
+exceeded.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .arith import NotSquarefree, squarefree_range
-from .biquad import PrecisionExhausted
 from .classify import (
     DEFAULT_ORACLE_LIMIT,
     NotFoundWithinBound,
@@ -91,7 +90,7 @@ def _row_for(d: int, do_verify: bool, oracle_limit: int) -> dict:
     findings = []
     if do_verify:
         try:
-            comparison = verify_against_oracle(d, oracle_limit)
+            comparison = verify_against_oracle(report, oracle_limit)
             status = "ok" if comparison.ok else "mismatch"
             mismatches = [c.to_json() for c in comparison.mismatches]
             findings = list(comparison.findings)
@@ -138,7 +137,7 @@ def _cmd_classify(args, out) -> int:
     results = {"report": report.to_json()}
     code = 0
     if args.verify:
-        comparison = verify_against_oracle(args.d, args.oracle_limit)
+        comparison = verify_against_oracle(report, args.oracle_limit)
         results["oracle"] = comparison.to_json()
         mismatches = [c.to_json() for c in comparison.mismatches]
         if mismatches:
@@ -150,15 +149,22 @@ def _cmd_classify(args, out) -> int:
     return code
 
 
-def _cmd_enumerate(args, out) -> int:
+def _sweep_rows(args, do_verify: bool) -> list[dict]:
+    """Rows for every odd square-free d in [--min, --max)."""
     if args.max <= args.min:
         raise UsageError("--max must exceed --min")
+    if args.threads < 1:
+        raise UsageError("--threads must be at least 1")
     ds = [
         fs.value
         for fs in squarefree_range(max(args.min, 3), args.max)
         if fs.value % 2 == 1
     ]
-    rows = _map_rows(ds, args.verify, args.oracle_limit, args.threads)
+    return _map_rows(ds, do_verify, args.oracle_limit, args.threads)
+
+
+def _cmd_enumerate(args, out) -> int:
+    rows = _sweep_rows(args, args.verify)
     if args.shape:
         rows = [r for r in rows if r["row"]["shape"] == args.shape]
     mismatches = [m for r in rows for m in r["mismatches"]]
@@ -217,12 +223,7 @@ def _cmd_find_primes(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    ds = [
-        fs.value
-        for fs in squarefree_range(max(args.min, 3), args.max)
-        if fs.value % 2 == 1
-    ]
-    rows = _map_rows(ds, True, args.oracle_limit, args.threads)
+    rows = _sweep_rows(args, True)
     mismatches = [
         {"d": r["row"]["d"], "checks": r["mismatches"]}
         for r in rows
@@ -368,7 +369,7 @@ def run(argv: list[str], out=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OracleRangeExceeded, PrecisionExhausted) as exc:
+    except OracleRangeExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NotSquarefree, NotFoundWithinBound, ValueError) as exc:

@@ -7,15 +7,20 @@ them into rho-cycles, and resolving the abelian group structure through
 Gauss composition.  Equivalence of forms is always decided by cycle
 membership, never by floating-point invariants.
 
+One builder cuts the forms of D into cycles; the narrow group, its sign-class
+quotient (the ordinary group) and the summaries are read off it.  All torsion
+comes from the chains #A[p^k] of the iterated p-th power map.
+
 A form (a, b, c) of discriminant D = b^2 - 4ac > 0 (nonsquare) is reduced
 when 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .arith import _xgcd, factorize, spf_table
@@ -79,18 +84,22 @@ def _rho(a: int, b: int, c: int, D: int, s: int) -> tuple[int, int, int]:
     return c, r, (r * r - D) // (4 * c)
 
 
+def _reduce(a: int, b: int, c: int, D: int, s: int) -> tuple[int, int, int]:
+    """Rho steps until the form is reduced (finitely many for valid D)."""
+    steps = 0
+    while not _is_reduced(a, b, c, D, s):
+        a, b, c = _rho(a, b, c, D, s)
+        steps += 1
+        if steps > 10_000_000:  # cannot happen for valid input
+            raise RuntimeError(f"reduction did not terminate at ({a},{b},{c})")
+    return a, b, c
+
+
 def reduce_form(f: IndefiniteForm) -> IndefiniteForm:
     """A reduced form properly equivalent to f (finitely many rho steps)."""
     D = f.discriminant
     s = _check_discriminant(D)
-    a, b, c = f
-    guard = 0
-    while not _is_reduced(a, b, c, D, s):
-        a, b, c = _rho(a, b, c, D, s)
-        guard += 1
-        if guard > 10_000_000:  # cannot happen for valid input
-            raise RuntimeError(f"reduction did not terminate for {f}")
-    return IndefiniteForm(a, b, c)
+    return IndefiniteForm(*_reduce(*f, D, s))
 
 
 def _divisors_from_spf(n: int, spf: list[int]) -> list[int]:
@@ -114,11 +123,7 @@ def _reduced_forms_raw(D: int, s: int) -> list[tuple[int, int, int]]:
         n = (D - b * b) // 4
         lo = s - b + 1  # window: lo <= 2a <= hi
         hi = s + b
-        if n < len(spf):
-            divs = _divisors_from_spf(n, spf)
-        else:  # pragma: no cover - only for very large ad-hoc discriminants
-            divs = [d for d, _ in _all_divisors_slow(n)]
-        for a in divs:
+        for a in _divisors_from_spf(n, spf):  # the sieve covers n < D/4
             t = 2 * a
             if lo <= t <= hi:
                 c = -(n // a)
@@ -128,26 +133,10 @@ def _reduced_forms_raw(D: int, s: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _all_divisors_slow(n: int):
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return [(d, None) for d in sorted(divs)]
-
-
 def reduced_forms(D: int) -> list[IndefiniteForm]:
     """Every reduced indefinite form of discriminant D, duplicate-free."""
     s = _check_discriminant(D)
     return sorted(IndefiniteForm(*f) for f in _reduced_forms_raw(D, s))
-
-
-def _principal_raw(D: int, s: int) -> tuple[int, int, int]:
-    b0 = D & 1
-    f = (1, b0, (b0 * b0 - D) // 4)
-    a, b, c = f
-    while not _is_reduced(a, b, c, D, s):
-        a, b, c = _rho(a, b, c, D, s)
-    return a, b, c
 
 
 def _solve_linear(a: int, b: int, m: int) -> tuple[int, int]:
@@ -184,10 +173,7 @@ def _compose_raw(
     A = s_ * t_
     B = w * u_ - (k * t_ + ell * s_)
     C = k * ell - w * m
-    a, b, c = A, B, C
-    while not _is_reduced(a, b, c, D, s):
-        a, b, c = _rho(a, b, c, D, s)
-    return a, b, c
+    return _reduce(A, B, C, D, s)
 
 
 def compose(f: IndefiniteForm, g: IndefiniteForm) -> IndefiniteForm:
@@ -197,6 +183,96 @@ def compose(f: IndefiniteForm, g: IndefiniteForm) -> IndefiniteForm:
         raise DiscriminantMismatch(f"{f} and {g} have different discriminants")
     s = _check_discriminant(D)
     return IndefiniteForm(*_compose_raw(tuple(f), tuple(g), D, s))
+
+
+# --- the one construction ---------------------------------------------------
+
+
+class _Cycles(NamedTuple):
+    """The rho-cycles of the primitive reduced forms of one discriminant."""
+
+    D: int
+    s: int
+    cycle_of: dict  # reduced form -> cycle id, ids in enumeration order
+    reps: list  # cycle id -> smallest form of the cycle
+    identity: int  # the principal cycle
+    sign: int  # the cycle of forms representing -1
+
+    def mul(self, i: int, j: int) -> int:
+        return self.cycle_of[_compose_raw(self.reps[i], self.reps[j], self.D, self.s)]
+
+    def power_map(self, p: int) -> list[int]:
+        """Cycle id -> cycle id of its p-th power."""
+        return [_power(self.mul, i, p) for i in range(len(self.reps))]
+
+
+def _power(mul, x: int, n: int) -> int:
+    """x**n for n >= 1, left-to-right binary: n = 2 is one composition."""
+    out = x
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, x)
+    return out
+
+
+def _cycles(D: int) -> _Cycles:
+    """Enumerate the primitive reduced forms of D once and cut them into
+    rho-cycles; find the principal and the sign cycle."""
+    s = _check_discriminant(D)
+    cycle_of: dict[tuple[int, int, int], int] = {}
+    reps: list[tuple[int, int, int]] = []
+    for f in _reduced_forms_raw(D, s):
+        if f in cycle_of or math.gcd(math.gcd(f[0], f[1]), f[2]) != 1:
+            continue
+        cid = len(reps)
+        rep = g = f
+        while True:
+            cycle_of[g] = cid
+            if g < rep:
+                rep = g
+            g = _rho(*g, D, s)
+            if g == f:
+                break
+        reps.append(rep)
+    # the principal form, and -1 times it
+    b0 = D & 1
+    c0 = (b0 - D) // 4  # b0 * b0 == b0
+    principal = cycle_of[_reduce(1, b0, c0, D, s)]
+    sign = cycle_of[_reduce(-1, b0, -c0, D, s)]
+    return _Cycles(D, s, cycle_of, reps, principal, sign)
+
+
+def _torsion_chain(pmap: list[int], p: int, kernel: set[int]) -> tuple[int, ...]:
+    """#A[p^k] for k = 0, 1, ... until it reaches the p-part of #A.
+
+    A is the group of cycles modulo the subgroup kernel ({1} or {1, sigma});
+    a class x has x^(p^k) = 1 in A exactly when its cycles land in kernel,
+    and every class has len(kernel) cycles.
+    """
+    order = len(pmap) // len(kernel)
+    full = 1
+    while order % (full * p) == 0:
+        full *= p
+    chain = [1]
+    images = list(range(len(pmap)))
+    while chain[-1] < full:
+        images = [pmap[c] for c in images]
+        chain.append(sum(map(images.count, kernel)) // len(kernel))
+    return tuple(chain)
+
+
+def _chain_factors(p: int, chain: tuple[int, ...]) -> list[int]:
+    """Cyclic factors, ascending, of the p-group with #A[p^k] = chain[k]."""
+    # #A[p^k]^2 / (#A[p^(k-1)] #A[p^(k+1)]) = p^(number of factors p^k)
+    ext = chain + chain[-1:]
+    factors = []
+    for k in range(1, len(chain)):
+        r = ext[k] ** 2 // (ext[k - 1] * ext[k + 1])
+        while r > 1:
+            r //= p
+            factors.append(p**k)
+    return factors
 
 
 # --- groups ---------------------------------------------------------------
@@ -234,159 +310,83 @@ class Abelian2Group:
         return " x ".join(f"Z/{f}" for f in self.factors)
 
 
-def _cycle_partition(forms: list[tuple[int, int, int]], D: int, s: int):
-    """Partition reduced forms into rho-cycles: (cycle_of_form, n_cycles)."""
-    cycle_of: dict[tuple[int, int, int], int] = {}
-    n = 0
-    for f in forms:
-        if f in cycle_of:
-            continue
-        cycle_of[f] = n
-        g = _rho(*f, D, s)
-        while g != f:
-            cycle_of[g] = n
-            g = _rho(*g, D, s)
-        n += 1
-    return cycle_of, n
-
-
 class FormClassGroup:
-    """The narrow (or ordinary) form class group of a real discriminant.
+    """The narrow form class group of a real discriminant, or its quotient
+    by the sign class (the ordinary group).
 
-    classes holds one canonical reduced representative per group element;
-    composition and all structure questions are answered through the
-    cycle-membership dictionary.
+    classes holds one canonical reduced representative per group element:
+    the smallest form of the lowest-numbered cycle of its coset.  Composition
+    and all structure questions are answered through cycle membership.
     """
 
-    def __init__(self, discriminant, variant, cycle_of, reps, members):
-        self.discriminant = discriminant
-        self.variant = variant
-        self._s = math.isqrt(discriminant)
-        self._cycle_of = cycle_of  # reduced form -> narrow cycle id
-        self._reps = reps  # narrow cycle id -> canonical reduced form
-        # members: element position -> narrow cycle id (quotients collapse)
-        self._members = members
-        self._pos_of_cycle = {}
-        self.classes = tuple(IndefiniteForm(*reps[c]) for c in members)
-        self.order = len(members)
-        self._mul_cache: dict[tuple[int, int], int] = {}
-        self._structure = None
-
-    def _position(self, cycle_id: int) -> int:
-        return self._pos_of_cycle[cycle_id]
+    def __init__(self, cycles: _Cycles, quotient: bool):
+        self.discriminant = cycles.D
+        self._cycles = cycles
+        self._kernel = {cycles.identity, cycles.sign} if quotient else {cycles.identity}
+        self.variant = "ordinary" if len(self._kernel) == 2 else "narrow"
+        # element position of each cycle; members[pos] = lowest cycle id
+        self._pos = [-1] * len(cycles.reps)
+        self._members: list[int] = []
+        for cid in range(len(cycles.reps)):
+            if self._pos[cid] < 0:
+                self._pos[cid] = len(self._members)
+                if len(self._kernel) == 2:
+                    self._pos[cycles.mul(cid, cycles.sign)] = len(self._members)
+                self._members.append(cid)
+        self.classes = tuple(IndefiniteForm(*cycles.reps[c]) for c in self._members)
+        self.order = len(self._members)
+        self._chains: dict[int, tuple[int, ...]] = {}
 
     def class_index(self, f: IndefiniteForm) -> int:
         """Element position of the class of f."""
-        g = reduce_form(f)
-        return self._position(self._cycle_of[tuple(g)])
+        return self._pos[self._cycles.cycle_of[tuple(reduce_form(f))]]
 
     @property
     def identity(self) -> int:
-        D = self.discriminant
-        return self._position(self._cycle_of[_principal_raw(D, self._s)])
+        return self._pos[self._cycles.identity]
 
     def mul(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        got = self._mul_cache.get(key)
-        if got is None:
-            D = self.discriminant
-            h = _compose_raw(
-                self._reps[self._members[i]], self._reps[self._members[j]], D, self._s
-            )
-            got = self._position(self._cycle_of[h])
-            self._mul_cache[key] = got
-        return got
+        return self._pos[self._cycles.mul(self._members[i], self._members[j])]
 
     def power(self, i: int, n: int) -> int:
-        out = self.identity
-        base = i
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        return _power(self.mul, i, n) if n else self.identity
 
     def inverse(self, i: int) -> int:
-        a, b, c = self._reps[self._members[i]]
-        g = reduce_form(IndefiniteForm(a, -b, c))
-        return self._position(self._cycle_of[tuple(g)])
+        cyc = self._cycles
+        a, b, c = cyc.reps[self._members[i]]
+        return self._pos[cyc.cycle_of[_reduce(a, -b, c, cyc.D, cyc.s)]]
 
     def element_order(self, i: int) -> int:
-        e = self.identity
-        if i == e:
-            return 1
         n = 1
         j = i
-        while j != e:
+        while j != self.identity:
             j = self.mul(j, i)
             n += 1
         return n
 
     def torsion_count(self, k: int) -> int:
-        """Number of classes x with x^k = identity."""
+        """Number of classes x with x^k = identity (through mul and power)."""
         e = self.identity
         return sum(1 for i in range(self.order) if self.power(i, k) == e)
 
-    def two_rank(self) -> int:
-        return (self.torsion_count(2)).bit_length() - 1
+    def torsion_chain(self, p: int) -> tuple[int, ...]:
+        """#A[p^k] for k = 0, 1, ... until it reaches the p-part of the order."""
+        chain = self._chains.get(p)
+        if chain is None:
+            pmap = self._cycles.power_map(p)
+            chain = self._chains[p] = _torsion_chain(pmap, p, self._kernel)
+        return chain
 
-    @property
+    @cached_property
     def structure(self) -> tuple[int, ...]:
         """Invariant factors of the group (divisibility chain, ascending)."""
-        if self._structure is None:
-            self._structure = self._invariant_factors()
-        return self._structure
-
-    def _invariant_factors(self) -> tuple[int, ...]:
-        h = self.order
-        if h == 1:
-            return ()
-        parts: dict[int, list[int]] = {}
-        for p, v in factorize(h):
-            m = h // p**v
-            # x -> x**m maps onto the p-Sylow subgroup, fibers of equal size
-            hist = [0] * (v + 1)
-            for i in range(self.order):
-                z = self.power(i, m)
-                k = 0
-                e = self.identity
-                while z != e:
-                    z = self.power(z, p)
-                    k += 1
-                hist[k] += 1
-            cum = 0
-            counts = []
-            for k in range(v + 1):
-                cum += hist[k]
-                counts.append(cum * p**v // h)
-            # counts[k] = number of z in the p-Sylow with z^(p^k) = 1; the
-            # count of cyclic factors with exponent >= k is
-            # log_p(counts[k]/counts[k-1])
-            partition = []
-            for k in range(1, v + 1):
-                r = counts[k] // counts[k - 1]
-                nk = 0
-                while r > 1:
-                    r //= p
-                    nk += 1
-                partition.append(nk)
-            n_factors = partition[0]
-            factor_exps = [
-                sum(1 for nk in partition if nk > idx) for idx in range(n_factors)
-            ]
-            parts[p] = sorted(factor_exps, reverse=True)
-        width = max(len(v) for v in parts.values())
-        factors = []
-        for i in range(width):
-            f = 1
-            for p, exps in parts.items():
-                if i < len(exps):
-                    f *= p ** exps[i]
-            factors.append(f)
-        return tuple(sorted(factors))
+        # align the largest p-power factors of every p, then the next ...
+        parts = [
+            _chain_factors(p, self.torsion_chain(p))[::-1]
+            for p, _ in factorize(self.order)
+        ]
+        columns = itertools.zip_longest(*parts, fillvalue=1)
+        return tuple(sorted(map(math.prod, columns)))
 
     def __repr__(self) -> str:
         desc = " x ".join(f"Z/{f}" for f in self.structure) or "1"
@@ -398,88 +398,29 @@ class FormClassGroup:
 
 def narrow_class_group(D: int) -> FormClassGroup:
     """The narrow class group of discriminant D as cycle classes."""
-    s = _check_discriminant(D)
-    forms = [
-        f
-        for f in _reduced_forms_raw(D, s)
-        if math.gcd(math.gcd(f[0], f[1]), f[2]) == 1
-    ]
-    cycle_of, n = _cycle_partition(forms, D, s)
-    reps: list[tuple[int, int, int] | None] = [None] * n
-    for f, cid in cycle_of.items():
-        if reps[cid] is None or f < reps[cid]:
-            reps[cid] = f
-    grp = FormClassGroup(D, "narrow", cycle_of, reps, list(range(n)))
-    grp._pos_of_cycle = {c: c for c in range(n)}
-    return grp
-
-
-def _sign_class_raw(D: int, s: int) -> tuple[int, int, int]:
-    """Reduced representative of -1 times the principal form."""
-    b0 = D & 1
-    f = (-1, b0, (D - b0 * b0) // 4)
-    a, b, c = f
-    while not _is_reduced(a, b, c, D, s):
-        a, b, c = _rho(a, b, c, D, s)
-    return a, b, c
-
-
-def sign_class_is_principal(D: int) -> bool:
-    """Whether the class of a form representing -1 is the principal class."""
-    s = _check_discriminant(D)
-    sign = _sign_class_raw(D, s)
-    f = _principal_raw(D, s)
-    g = _rho(*f, D, s)
-    if sign == f:
-        return True
-    while g != f:
-        if g == sign:
-            return True
-        g = _rho(*g, D, s)
-    return False
+    return FormClassGroup(_cycles(D), quotient=False)
 
 
 def ordinary_class_group(D: int, unit_norm: int) -> FormClassGroup:
     """The ordinary class group: the narrow group, or its quotient by the
-    sign class when the fundamental unit has norm +1."""
+    sign class when the fundamental unit has norm +1.
+
+    unit_norm must agree with the sign class: it is principal exactly when
+    the unit of the order of discriminant D has norm -1.
+    """
     if unit_norm not in (-1, 1):
         raise ValueError("unit_norm must be -1 or +1")
-    narrow = narrow_class_group(D)
-    if unit_norm == -1:
-        return narrow
-    s = narrow._s
-    sign_cycle = narrow._cycle_of[_sign_class_raw(D, s)]
-    ident_cycle = narrow._members[narrow.identity]
-    if sign_cycle == ident_cycle:
-        # the "quotient" by a trivial subgroup; cannot occur when the norm
-        # really is +1, but keep the group honest rather than halving
-        return narrow
-    # cosets \{c, c*sign\}
-    pos_of_cycle: dict[int, int] = {}
-    members: list[int] = []
-    for cid in range(len(narrow._reps)):
-        if cid in pos_of_cycle:
-            continue
-        other = _compose_raw(narrow._reps[cid], narrow._reps[sign_cycle], D, s)
-        other_cid = narrow._cycle_of[other]
-        rep_cid = min(cid, other_cid)
-        pos = len(members)
-        pos_of_cycle[cid] = pos
-        pos_of_cycle[other_cid] = pos
-        members.append(rep_cid)
-    grp = FormClassGroup(D, "ordinary", narrow._cycle_of, narrow._reps, members)
-    grp._pos_of_cycle = pos_of_cycle
-    return grp
+    cycles = _cycles(D)
+    if (cycles.sign == cycles.identity) != (unit_norm == -1):
+        raise ValueError(
+            f"unit norm {unit_norm} contradicts the sign class of discriminant {D}"
+        )
+    return FormClassGroup(cycles, quotient=True)
 
 
 def two_sylow(g: FormClassGroup) -> Abelian2Group:
     """The 2-Sylow subgroup of a class group, as invariant factors."""
-    factors = []
-    for f in g.structure:
-        two_part = f & (-f)  # largest power of 2 dividing f
-        if two_part > 1:
-            factors.append(two_part)
-    return Abelian2Group(tuple(sorted(factors)))
+    return Abelian2Group(tuple(_chain_factors(2, g.torsion_chain(2))))
 
 
 # --- lean per-discriminant summary for the verification sweeps ------------
@@ -488,12 +429,33 @@ def two_sylow(g: FormClassGroup) -> Abelian2Group:
 class ClassGroupSummary(NamedTuple):
     discriminant: int
     h_narrow: int
-    two_torsion_narrow: int  # classes c with c^2 = 1 in the narrow group
-    four_torsion_narrow: int  # classes c with c^4 = 1
     sign_is_principal: bool
-    h_ordinary: int
-    two_torsion_ordinary: int
-    four_torsion_ordinary: int
+    two_chain_narrow: tuple[int, ...]  # #A+[2^k], k = 0, 1, ... to the 2-part
+    two_chain_ordinary: tuple[int, ...]  # #A[2^k] likewise
+
+    @staticmethod
+    def _at(chain: tuple[int, ...], k: int) -> int:
+        return chain[min(k, len(chain) - 1)]
+
+    @property
+    def h_ordinary(self) -> int:
+        return self.h_narrow if self.sign_is_principal else self.h_narrow // 2
+
+    @property
+    def two_torsion_narrow(self) -> int:  # classes c with c^2 = 1
+        return self._at(self.two_chain_narrow, 1)
+
+    @property
+    def four_torsion_narrow(self) -> int:  # classes c with c^4 = 1
+        return self._at(self.two_chain_narrow, 2)
+
+    @property
+    def two_torsion_ordinary(self) -> int:
+        return self._at(self.two_chain_ordinary, 1)
+
+    @property
+    def four_torsion_ordinary(self) -> int:
+        return self._at(self.two_chain_ordinary, 2)
 
     @property
     def narrow_two_rank(self) -> int:
@@ -521,46 +483,28 @@ class ClassGroupSummary(NamedTuple):
         h = self.h_ordinary if variant == "ordinary" else self.h_narrow
         return h & -h
 
+    def two_sylow(self, variant: str = "ordinary") -> Abelian2Group:
+        """The 2-Sylow subgroup, as invariant factors."""
+        if variant == "ordinary":
+            return Abelian2Group(tuple(_chain_factors(2, self.two_chain_ordinary)))
+        return Abelian2Group(tuple(_chain_factors(2, self.two_chain_narrow)))
+
 
 @lru_cache(maxsize=None)
 def class_group_summary(D: int) -> ClassGroupSummary:
-    """Torsion counts of the narrow group and its sign-class quotient.
+    """The 2-power torsion chains of the narrow group and its sign-class
+    quotient.
 
-    One reduced-form enumeration plus O(h) compositions per discriminant;
-    cached, since the acceptance sweeps revisit discriminants.
+    One reduced-form enumeration plus h compositions (the squaring map)
+    per discriminant; cached, since the acceptance sweeps revisit
+    discriminants.  Only the summary is kept, not the cycles.
     """
-    s = _check_discriminant(D)
-    forms = [
-        f
-        for f in _reduced_forms_raw(D, s)
-        if math.gcd(math.gcd(f[0], f[1]), f[2]) == 1
-    ]
-    cycle_of, n = _cycle_partition(forms, D, s)
-    reps: list[tuple[int, int, int] | None] = [None] * n
-    for f, cid in cycle_of.items():
-        r = reps[cid]
-        if r is None or f < r:
-            reps[cid] = f
-    ident = cycle_of[_principal_raw(D, s)]
-    sign = cycle_of[_sign_class_raw(D, s)]
-    two_n = 0
-    four_n = 0
-    two_o = 0
-    four_o = 0
-    sign_set = (ident, sign)
-    for cid in range(n):
-        sq = cycle_of[_compose_raw(reps[cid], reps[cid], D, s)]
-        if sq == ident:
-            two_n += 1
-        if sq in sign_set:
-            two_o += 1
-        sq2 = cycle_of[_compose_raw(reps[sq], reps[sq], D, s)]
-        if sq2 == ident:
-            four_n += 1
-        if sq2 in sign_set:
-            four_o += 1
-    if sign == ident:
-        h_ord, two_o, four_o = n, two_n, four_n
-    else:
-        h_ord, two_o, four_o = n // 2, two_o // 2, four_o // 2
-    return ClassGroupSummary(D, n, two_n, four_n, sign == ident, h_ord, two_o, four_o)
+    cycles = _cycles(D)
+    squares = cycles.power_map(2)
+    return ClassGroupSummary(
+        D,
+        len(cycles.reps),
+        cycles.sign == cycles.identity,
+        _torsion_chain(squares, 2, {cycles.identity}),
+        _torsion_chain(squares, 2, {cycles.identity, cycles.sign}),
+    )

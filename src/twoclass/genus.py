@@ -108,10 +108,6 @@ def f2_span(radicands) -> frozenset:
     return frozenset(span)
 
 
-def same_span(a: GenusField, b: GenusField) -> bool:
-    return f2_span(a.radicands) == f2_span(b.radicands)
-
-
 def _field_of(K) -> QuadraticField:
     return K if isinstance(K, QuadraticField) else quadratic_field(K)
 

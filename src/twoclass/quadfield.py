@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
-    FactoredSquarefree,
     as_factored,
     hilbert_symbol,
     kronecker,
@@ -186,9 +185,6 @@ class QuadInteger:
 
     def sign(self) -> int:
         return sign_of_quadratic(self.a, self.b, self.field.d)
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.field.d)
 
     def __repr__(self) -> str:
         return f"({self.a} + {self.b}*sqrt({self.field.d}))"

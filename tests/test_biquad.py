@@ -14,7 +14,6 @@ from twoclass.biquad import (
     hasse_unit_index,
     is_square_in_K1,
     kuroda_order,
-    matching_unit_system,
     ramified_place_count,
     sqrt_in_K1,
     structure_from_rank_and_order,
@@ -157,12 +156,10 @@ def test_unit_square_relations_and_hasse_index():
     assert unit_square_relations(K5) == [(1, 1, 1)]
     assert hasse_unit_index(K5) == 2
     assert kuroda_order(hasse_unit_index(K5), 1, 2, 1) == 1
-    assert "e1e2e3" in matching_unit_system(K5)
     # the worked d = 1365 field has no relations at all
     K1365 = biquad_field(1365)
     assert unit_square_relations(K1365) == []
     assert hasse_unit_index(K1365) == 1
-    assert matching_unit_system(K1365) == "{e1, e2, e3}"
 
 
 def test_triple_product_square_value():

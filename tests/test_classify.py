@@ -273,3 +273,26 @@ def test_ppqq_converse_counterexample_is_reported():
     assert structure_condition_ppqq(5565) is None
     v = verify_against_oracle(5565)
     assert v.ok and not v.findings
+
+
+def test_verify_reads_summaries_and_takes_a_report(monkeypatch):
+    """The oracle comparison builds no full class group and never asks for
+    a unit norm: every check reads the cached class-group summaries.  A
+    PredictionReport passed in is used as is, so predict runs once."""
+    import twoclass
+    import twoclass.forms
+    import twoclass.quadfield
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the verify path must not call this")
+
+    for mod in (twoclass, twoclass.forms, twoclass.quadfield):
+        for name in ("narrow_class_group", "ordinary_class_group", "unit_norm"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, boom)
+    v = verify_against_oracle(1365)
+    assert v.ok
+    assert "structure A(K')" in [c.name for c in v.checks]
+    report = predict(1365)
+    monkeypatch.setattr("twoclass.classify.predict", boom)
+    assert verify_against_oracle(report) == v

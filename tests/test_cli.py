@@ -161,3 +161,38 @@ def test_verify_mismatch_exit_2(monkeypatch):
 def test_oracle_range_exit_3():
     code, _, _ = run_json(["classify", "3000003", "--verify"])
     assert code == 3
+
+
+def test_sweeps_reject_empty_range_and_bad_threads(capsys):
+    for command in ("verify", "enumerate"):
+        for argv in (
+            [command, "--min", "10", "--max", "5"],
+            [command, "--min", "10", "--max", "10"],
+            [command, "--max", "50", "--threads", "0"],
+            [command, "--max", "50", "--threads", "-2"],
+        ):
+            capsys.readouterr()
+            code, doc, text = run_json(argv)
+            assert code == 1, argv
+            assert doc is None and text == ""
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and err.count("\n") == 1, argv
+
+
+def test_sweep_predicts_once_per_field(monkeypatch):
+    calls = []
+    real = cli.predict
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(cli, "predict", counting)
+    monkeypatch.setattr("twoclass.classify.predict", counting)
+    code, doc, _ = run_json(["verify", "--max", "200"])
+    assert code == 0
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == doc["results"]["fields"]
+    calls.clear()
+    code, doc, _ = run_json(["classify", "1365", "--verify"])
+    assert code == 0 and calls == [1365]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from twoclass.arith import squarefree_range
+from twoclass.arith import factorize, squarefree_range
 from twoclass.forms import (
     Abelian2Group,
     DiscriminantMismatch,
@@ -15,7 +15,6 @@ from twoclass.forms import (
     ordinary_class_group,
     reduce_form,
     reduced_forms,
-    sign_class_is_principal,
     two_sylow,
 )
 from twoclass.quadfield import unit_norm
@@ -184,7 +183,7 @@ def test_ordinary_vs_narrow_order_relation():
         D = fs.value if fs.value % 4 == 1 else 4 * fs.value
         nm = unit_norm(fs.value)
         narrow = class_group_summary(D)
-        assert sign_class_is_principal(D) == (nm == -1), fs.value
+        assert narrow.sign_is_principal == (nm == -1), fs.value
         if nm == 1:
             assert narrow.h_ordinary * 2 == narrow.h_narrow
         else:
@@ -233,3 +232,38 @@ def test_class_group_summary_consistency():
         o = ordinary_class_group(D, unit_norm(fs.value))
         assert summ.h_ordinary == o.order
         assert summ.two_torsion_ordinary == o.torsion_count(2)
+
+
+def test_ordinary_class_group_rejects_contradicting_unit_norm():
+    # the sign class is principal exactly when the unit has norm -1
+    with pytest.raises(ValueError):
+        ordinary_class_group(1365, -1)
+    with pytest.raises(ValueError):
+        ordinary_class_group(40, 1)
+    with pytest.raises(ValueError):
+        ordinary_class_group(40, 0)
+
+
+def test_torsion_chains_against_mul_and_power():
+    # the chains come from the iterated p-th power map on cycles; the
+    # reference torsion_count goes through mul and power instead
+    for D in valid_discriminants(3000):
+        summ = class_group_summary(D)
+        narrow = narrow_class_group(D)
+        ordinary = ordinary_class_group(D, -1 if summ.sign_is_principal else 1)
+        for g, chain in (
+            (narrow, summ.two_chain_narrow),
+            (ordinary, summ.two_chain_ordinary),
+        ):
+            assert math.prod(g.structure) == g.order, D
+            for p, v in factorize(g.order):
+                for k in range(1, v + 1):
+                    m = p**k
+                    expected = math.prod(math.gcd(f, m) for f in g.structure)
+                    assert g.torsion_count(m) == expected, (D, g.variant, m)
+            assert chain[-1] == g.order & -g.order, D
+            for k, count in enumerate(chain):
+                assert count == g.torsion_count(2**k), (D, g.variant, k)
+            assert two_sylow(g) == summ.two_sylow(
+                "narrow" if g is narrow else "ordinary"
+            ), D
