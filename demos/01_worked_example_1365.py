@@ -22,7 +22,6 @@ from twoclass import (
     s2_decompositions,
     structure_condition_ppqq,
     two_sylow,
-    unit_norm,
     verify_against_oracle,
 )
 
@@ -53,9 +52,9 @@ print()
 print("-- the oracle's view (class groups from quadratic forms) --")
 narrow = narrow_class_group(d)
 print("narrow class group of K: ", narrow)
-ordinary = ordinary_class_group(d, unit_norm(d))
+ordinary = ordinary_class_group(d)
 print("ordinary class group:    ", ordinary, "->", two_sylow(ordinary))
-ordinary_prime = ordinary_class_group(8 * d, unit_norm(2 * d))
+ordinary_prime = ordinary_class_group(8 * d)
 print("ordinary group of K':    ", ordinary_prime, "->", two_sylow(ordinary_prime))
 print()
 

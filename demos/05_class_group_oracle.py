@@ -15,7 +15,6 @@ from twoclass import (
     reduce_form,
     reduced_forms,
     two_sylow,
-    unit_norm,
 )
 
 D = 40
@@ -31,8 +30,7 @@ print()
 
 for D in (60, 1365, 10920, 3320):
     g = narrow_class_group(D)
-    d = D if D % 4 == 1 else D // 4
-    o = ordinary_class_group(D, unit_norm(d))
+    o = ordinary_class_group(D)
     print(
         f"D = {D:>6}: h+ = {g.order:>3} {g.structure},"
         f" h = {o.order:>3} {o.structure}, A = {two_sylow(o)}"

@@ -307,28 +307,11 @@ def kuroda_order(Q: int, hA_K: int, hA_Kprime: int, hA_Qsqrt2: int) -> int:
     return prod // 4
 
 
-class Ambiguous:
-    """Marker: rank and order do not pin down the group."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Ambiguous"
-
-
-AMBIGUOUS = Ambiguous()
-
-
-def structure_from_rank_and_order(rank: int, order: int):
-    """The abelian 2-group of given rank and order when unique.
+def structure_from_rank_and_order(rank: int, order: int) -> Abelian2Group | None:
+    """The abelian 2-group of given rank and order when unique, else None.
 
     rank r with order 2^r is elementary; order 2^(r+1) forces one factor 4;
-    anything larger is Ambiguous.
+    anything larger leaves more than one group.
     """
     if order < 1 or order & (order - 1):
         raise ValueError("order must be a power of 2")
@@ -341,4 +324,4 @@ def structure_from_rank_and_order(rank: int, order: int):
         return Abelian2Group((2,) * rank)
     if m == rank + 1:
         return Abelian2Group((2,) * (rank - 1) + (4,))
-    return AMBIGUOUS
+    return None

@@ -30,7 +30,6 @@ from .arith import (
     as_factored,
     is_prime,
     kronecker,
-    squarefree_range,
     two_power_residue_test,
 )
 from .biquad import (
@@ -690,6 +689,14 @@ class OracleComparison:
         }
 
 
+def _kuroda_order_K1(fs, sK, sKp) -> int:
+    """#A(K1) from the Hasse unit index and the oracle's 2-parts of
+    A(K), A(K') and A(Q(sqrt(2)))."""
+    Q = hasse_unit_index(biquad_field(fs))
+    h2 = class_group_summary(8).two_part()
+    return kuroda_order(Q, sK.two_part(), sKp.two_part(), h2)
+
+
 def verify_against_oracle(
     d, oracle_limit: int = DEFAULT_ORACLE_LIMIT
 ) -> OracleComparison:
@@ -709,6 +716,7 @@ def verify_against_oracle(
         )
     sK = class_group_summary(D)
     sKp = class_group_summary(Dprime)
+    narrow_rank = narrow_genus_rank(fs.value)
     checks = [
         OracleCheck(
             "rank A(K)",
@@ -718,9 +726,9 @@ def verify_against_oracle(
         ),
         OracleCheck(
             "rank A+(K)",
-            narrow_genus_rank(fs.value),
+            narrow_rank,
             sK.narrow_two_rank,
-            narrow_genus_rank(fs.value) == sK.narrow_two_rank,
+            narrow_rank == sK.narrow_two_rank,
         ),
         OracleCheck(
             "rank A(K')",
@@ -750,9 +758,7 @@ def verify_against_oracle(
             )
         )
     if report.structure_K1 is not None:
-        Q = hasse_unit_index(biquad_field(fs))
-        h2 = class_group_summary(8).two_part()
-        order = kuroda_order(Q, sK.two_part(), sKp.two_part(), h2)
+        order = _kuroda_order_K1(fs, sK, sKp)
         predicted_order = report.structure_K1.value.order
         checks.append(
             OracleCheck(
@@ -789,26 +795,14 @@ def verify_against_oracle(
             and sKp.ordinary_elementary
             and sKp.two_part() == 8
         )
-        if conjunction:
-            Q = hasse_unit_index(biquad_field(fs))
-            h2 = class_group_summary(8).two_part()
-            order = kuroda_order(Q, sK.two_part(), sKp.two_part(), h2)
-            if order == 8 and report.rank_K1.value == 2:
-                findings.append(
-                    "ppqq criterion converse fails: A(K) = (2,2), "
-                    "A(K') = (2,2,2) and #A(K1) = 8 at rank 2, "
-                    "yet no listed condition matches"
-                )
+        if (
+            conjunction
+            and report.rank_K1.value == 2
+            and _kuroda_order_K1(fs, sK, sKp) == 8
+        ):
+            findings.append(
+                "ppqq criterion converse fails: A(K) = (2,2), "
+                "A(K') = (2,2,2) and #A(K1) = 8 at rank 2, "
+                "yet no listed condition matches"
+            )
     return OracleComparison(fs.value, tuple(checks), tuple(findings))
-
-
-def sweep_verify(
-    max_d: int,
-    min_d: int = 3,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
-):
-    """verify_against_oracle over all odd square-free d in [min_d, max_d)."""
-    for fs in squarefree_range(min_d, max_d):
-        if fs.value % 2 == 0 or fs.value < 3:
-            continue
-        yield verify_against_oracle(fs, oracle_limit)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +27,7 @@ from .classify import (
     verify_against_oracle,
 )
 from .forms import narrow_class_group, ordinary_class_group, two_sylow
-from .quadfield import fundamental_unit, unit_norm
+from .quadfield import fundamental_unit
 from .redei import narrow_two_elementary, s1_decompositions, s2_decompositions
 
 SCHEMA_VERSION = "1"
@@ -110,22 +111,23 @@ def _row_for(d: int, do_verify: bool, oracle_limit: int) -> dict:
             "provenance": "; ".join(provenance),
             "oracle_status": status,
         },
-        "report": report.to_json(),
         "mismatches": mismatches,
     }
 
 
-def _row_worker(args) -> dict:
-    d, do_verify, oracle_limit = args
-    return _row_for(d, do_verify, oracle_limit)
-
-
 def _map_rows(ds, do_verify, oracle_limit, threads):
-    work = [(d, do_verify, oracle_limit) for d in ds]
     if threads <= 1:
-        return [_row_worker(w) for w in work]
+        return [_row_for(d, do_verify, oracle_limit) for d in ds]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_row_worker, work, chunksize=32))
+        return list(
+            pool.map(
+                _row_for,
+                ds,
+                itertools.repeat(do_verify),
+                itertools.repeat(oracle_limit),
+                chunksize=32,
+            )
+        )
 
 
 # --- subcommands ------------------------------------------------------------
@@ -269,9 +271,7 @@ def _cmd_unit(args, out) -> int:
 
 def _cmd_classgroup(args, out) -> int:
     if args.ordinary:
-        D = args.D
-        d = D if D % 4 == 1 else D // 4
-        grp = ordinary_class_group(D, unit_norm(d))
+        grp = ordinary_class_group(args.D)
     else:
         grp = narrow_class_group(args.D)
     doc = _document(

@@ -401,21 +401,14 @@ def narrow_class_group(D: int) -> FormClassGroup:
     return FormClassGroup(_cycles(D), quotient=False)
 
 
-def ordinary_class_group(D: int, unit_norm: int) -> FormClassGroup:
-    """The ordinary class group: the narrow group, or its quotient by the
-    sign class when the fundamental unit has norm +1.
+def ordinary_class_group(D: int) -> FormClassGroup:
+    """The ordinary class group: the narrow group modulo the sign class.
 
-    unit_norm must agree with the sign class: it is principal exactly when
-    the unit of the order of discriminant D has norm -1.
+    The sign class is principal exactly when the unit of the order of
+    discriminant D has norm -1; the quotient is then the narrow group itself
+    and its variant reads "narrow".
     """
-    if unit_norm not in (-1, 1):
-        raise ValueError("unit_norm must be -1 or +1")
-    cycles = _cycles(D)
-    if (cycles.sign == cycles.identity) != (unit_norm == -1):
-        raise ValueError(
-            f"unit norm {unit_norm} contradicts the sign class of discriminant {D}"
-        )
-    return FormClassGroup(cycles, quotient=True)
+    return FormClassGroup(_cycles(D), quotient=True)
 
 
 def two_sylow(g: FormClassGroup) -> Abelian2Group:

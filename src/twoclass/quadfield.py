@@ -247,28 +247,6 @@ def _cf_unit(d: int) -> tuple[Fraction, Fraction, int]:
     return ua, ub, period
 
 
-@lru_cache(maxsize=None)
-def _cf_period_parity(d: int) -> int:
-    """Period length parity of the unit cycle, without the convergents."""
-    s = math.isqrt(d)
-    if d % 4 == 1:
-        P0, Q0 = 1, 2
-    else:
-        P0, Q0 = 0, 1
-    a0 = (P0 + s) // Q0
-    P1 = a0 * Q0 - P0
-    Q1 = (d - P1 * P1) // Q0
-    P, Q = P1, Q1
-    period = 0
-    while True:
-        a = (P + s) // Q
-        period += 1
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        if (P, Q) == (P1, Q1):
-            return period
-
-
 def fundamental_unit(field) -> FundamentalUnit:
     """Fundamental unit > 1 of Q(sqrt(d)), from the CF expansion."""
     if isinstance(field, QuadraticField):
@@ -281,9 +259,8 @@ def fundamental_unit(field) -> FundamentalUnit:
 
 
 def unit_norm(field) -> int:
-    """Norm of the fundamental unit, via the CF period parity."""
-    d = field.d if isinstance(field, QuadraticField) else int(as_factored(field))
-    return -1 if _cf_period_parity(d) % 2 else 1
+    """Norm of the fundamental unit, (-1)**(CF period length)."""
+    return fundamental_unit(field).norm
 
 
 def minus_one_is_norm(field) -> bool:

@@ -1,0 +1,18 @@
+"""The benchmark's tracer looks up each boundary by name in its twoclass
+module; a deleted or renamed function would break ``bench/run.py --trace 1``."""
+
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def test_tracer_boundaries_resolve_to_callables():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.BOUNDARIES
+    for name in tracer.BOUNDARIES:
+        module, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"twoclass.{module}"), attr, None)
+        assert callable(fn), name

@@ -4,7 +4,6 @@ import pytest
 
 from twoclass.arith import squarefree_range
 from twoclass.biquad import (
-    AMBIGUOUS,
     BiquadNumber,
     EvenRadicand,
     Inconsistent,
@@ -208,7 +207,7 @@ def test_kuroda_order():
 def test_structure_from_rank_and_order():
     assert structure_from_rank_and_order(2, 8) == Abelian2Group((2, 4))
     assert structure_from_rank_and_order(2, 4) == Abelian2Group((2, 2))
-    assert structure_from_rank_and_order(2, 16) is AMBIGUOUS
+    assert structure_from_rank_and_order(2, 16) is None
     assert structure_from_rank_and_order(0, 1) == Abelian2Group(())
     assert structure_from_rank_and_order(3, 16) == Abelian2Group((2, 2, 4))
     with pytest.raises(Inconsistent):

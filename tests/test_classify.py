@@ -226,16 +226,6 @@ def test_verify_against_oracle_worked_examples():
         verify_against_oracle(3000003)
 
 
-def test_sweep_verify_yields_clean_comparisons():
-    from twoclass.classify import sweep_verify
-
-    results = list(sweep_verify(120))
-    assert [c.d for c in results] == [
-        fs.value for fs in squarefree_range(3, 120) if fs.value % 2
-    ]
-    assert all(c.ok for c in results)
-
-
 def test_tension_field_kuroda_consistency():
     """d = 7345 = 5*13*113 carries the type-(1) tension flag: the congruence
     pattern promises first-layer rank 2 while the rank formula gives 3

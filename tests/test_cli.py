@@ -2,7 +2,9 @@ import io
 import json
 
 import twoclass.cli as cli
+from twoclass.arith import squarefree_range
 from twoclass.classify import OracleCheck, OracleComparison
+from twoclass.forms import class_group_summary
 
 
 def run_json(argv):
@@ -122,6 +124,15 @@ def test_classgroup_command():
     assert doc["results"]["two_sylow"] == [2, 2, 2]
 
 
+def test_classgroup_ordinary_non_fundamental():
+    # the quotient comes from the discriminant alone, so orders that are
+    # not maximal (45 = 9 * 5, 48, 72, 80) work like fundamental ones
+    for D in (45, 48, 72, 80):
+        code, doc, _ = run_json(["classgroup", str(D), "--ordinary"])
+        assert code == 0, D
+        assert doc["results"]["order"] == class_group_summary(D).h_ordinary, D
+
+
 def test_s1s2_command():
     code, doc, _ = run_json(["s1s2", "40"])
     assert code == 0
@@ -134,8 +145,9 @@ def test_verify_small_range_exit_0():
     code, doc, _ = run_json(["verify", "--max", "300"])
     assert code == 0
     assert doc["mismatches"] == []
-    assert doc["results"]["fields"] > 0
-    assert doc["results"]["verified_ok"] > 0
+    odd = [fs.value for fs in squarefree_range(3, 300) if fs.value % 2]
+    assert doc["results"]["fields"] == len(odd)
+    assert doc["results"]["verified_ok"] == len(odd)
     assert doc["results"]["findings"] == []
 
 

@@ -165,13 +165,13 @@ def test_smallest_three_rank_two_discriminant():
 
 
 def test_ordinary_class_group():
-    # norm -1: narrow = ordinary
-    g = ordinary_class_group(40, -1)
+    # norm -1: the sign class is principal, narrow = ordinary
+    g = ordinary_class_group(40)
     assert g.order == 2 and g.variant == "narrow"
     # norm +1: index-2 quotient
-    g = ordinary_class_group(60, 1)
-    assert g.order == 2
-    g = ordinary_class_group(1365, 1)
+    g = ordinary_class_group(60)
+    assert g.order == 2 and g.variant == "ordinary"
+    g = ordinary_class_group(1365)
     assert g.order == 4 and g.structure == (2, 2)
     assert two_sylow(g).factors == (2, 2)
 
@@ -229,28 +229,20 @@ def test_class_group_summary_consistency():
         assert summ.h_narrow == g.order
         assert summ.two_torsion_narrow == g.torsion_count(2)
         assert summ.four_torsion_narrow == g.torsion_count(4)
-        o = ordinary_class_group(D, unit_norm(fs.value))
+        o = ordinary_class_group(D)
         assert summ.h_ordinary == o.order
         assert summ.two_torsion_ordinary == o.torsion_count(2)
 
 
-def test_ordinary_class_group_rejects_contradicting_unit_norm():
-    # the sign class is principal exactly when the unit has norm -1
-    with pytest.raises(ValueError):
-        ordinary_class_group(1365, -1)
-    with pytest.raises(ValueError):
-        ordinary_class_group(40, 1)
-    with pytest.raises(ValueError):
-        ordinary_class_group(40, 0)
-
-
 def test_torsion_chains_against_mul_and_power():
     # the chains come from the iterated p-th power map on cycles; the
-    # reference torsion_count goes through mul and power instead
+    # reference torsion_count goes through mul and power instead; the valid
+    # D include non-fundamental ones (45, 48, 72, 80, ...)
     for D in valid_discriminants(3000):
         summ = class_group_summary(D)
         narrow = narrow_class_group(D)
-        ordinary = ordinary_class_group(D, -1 if summ.sign_is_principal else 1)
+        ordinary = ordinary_class_group(D)
+        assert ordinary.order == summ.h_ordinary, D
         for g, chain in (
             (narrow, summ.two_chain_narrow),
             (ordinary, summ.two_chain_ordinary),
