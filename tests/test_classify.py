@@ -226,6 +226,29 @@ def test_verify_against_oracle_worked_examples():
         verify_against_oracle(3000003)
 
 
+def test_sweep_verify_yields_clean_comparisons():
+    """The oracle sweep below 120 checks every odd square-free d, all clean."""
+    import io
+    import json
+
+    from twoclass.cli import run
+
+    odd = [fs.value for fs in squarefree_range(3, 120) if fs.value % 2]
+
+    out = io.StringIO()
+    assert run(["verify", "--max", "120"], out) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["mismatches"] == []
+    assert doc["results"]["fields"] == len(odd)
+    assert doc["results"]["verified_ok"] == doc["results"]["fields"]
+
+    out = io.StringIO()
+    assert run(["enumerate", "--max", "120", "--verify"], out) == 0
+    rows = json.loads(out.getvalue())["results"]
+    assert [r["d"] for r in rows] == odd
+    assert all(r["oracle_status"] == "ok" for r in rows)
+
+
 def test_tension_field_kuroda_consistency():
     """d = 7345 = 5*13*113 carries the type-(1) tension flag: the congruence
     pattern promises first-layer rank 2 while the rank formula gives 3
