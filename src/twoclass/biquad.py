@@ -2,9 +2,10 @@
 
 Counts the ramified places of Q(sqrt(2)) in K1, evaluates the closed-form
 2-rank of A(K1), decides squareness in K1 exactly (K1 is the relative
-quadratic extension Q(sqrt(2))(sqrt(d)), so the quadratic-field square
-solver applies twice), computes the Hasse unit index from unit square
-classes, and evaluates Kuroda's class number formula.
+quadratic extension Q(sqrt(2))(sqrt(d)), so quadfield's relative-quadratic
+product, sign and square root serve over Q(sqrt(2)) as they do over Q),
+computes the Hasse unit index from unit square classes, and evaluates
+Kuroda's class number formula.
 """
 
 from __future__ import annotations
@@ -16,10 +17,13 @@ from .arith import FactoredSquarefree, as_factored, two_power_residue_test
 from .forms import Abelian2Group
 from .quadfield import (
     FundamentalUnit,
+    _sign,
     fundamental_unit,
     quadratic_field,
-    sign_of_quadratic,
-    sqrt_in_quadratic,
+    relative_mul,
+    relative_sign,
+    relative_sqrt,
+    sqrt_rational,
 )
 
 
@@ -32,7 +36,7 @@ class NonIntegral(ValueError):
 
 
 class Inconsistent(ValueError):
-    """Rank exceeds what the group order allows."""
+    """Rank and group order fit no abelian 2-group."""
 
 
 @dataclass(frozen=True)
@@ -93,16 +97,37 @@ def first_layer_rank(d) -> int:
 # --- exact arithmetic in K1 -----------------------------------------------
 
 
-def _mul4(x, y, d):
-    """Product of two coordinate 4-tuples over the basis 1, sqrt2, sqrtd, sqrt2d."""
-    x0, x1, x2, x3 = x
-    y0, y1, y2, y3 = y
-    return (
-        x0 * y0 + 2 * x1 * y1 + d * x2 * y2 + 2 * d * x3 * y3,
-        x0 * y1 + x1 * y0 + d * (x2 * y3 + x3 * y2),
-        x0 * y2 + x2 * y0 + 2 * (x1 * y3 + x3 * y1),
-        x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
-    )
+class _F(tuple):
+    """u + v*sqrt(2) in F = Q(sqrt(2)), the base field of K1; rationals act as scalars."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return bool(self[0] or self[1])
+
+    def __add__(self, y):
+        return _F((self[0] + y[0], self[1] + y[1]))
+
+    def __sub__(self, y):
+        return _F((self[0] - y[0], self[1] - y[1]))
+
+    def __mul__(self, y):
+        if not isinstance(y, tuple):
+            return _F((self[0] * y, self[1] * y))
+        return _F(relative_mul(self, y, 2))
+
+    def __truediv__(self, y):
+        if not isinstance(y, tuple):
+            return _F((self[0] / y, self[1] / y))
+        conj = _F((y[0], -y[1]))
+        return self * conj / (y * conj)[0]
+
+    def sign(self):
+        return relative_sign(self, 2, _sign)
+
+    def sqrt(self):
+        r = relative_sqrt(self, 2, sqrt_rational)
+        return None if r is None else _F(r)
 
 
 @dataclass(frozen=True)
@@ -119,13 +144,20 @@ class BiquadNumber:
             if 4 % c.denominator:
                 raise ValueError("integral coordinates have denominator dividing 4")
 
+    def _over_F(self, flip_sqrt2: bool = False, flip_sqrtd: bool = False):
+        """(A, B) in F with A + B*sqrt(d) the image of x with the chosen signs flipped."""
+        x0, x1, x2, x3 = self.coordinates
+        if flip_sqrt2:
+            x1, x3 = -x1, -x3
+        if flip_sqrtd:
+            x2, x3 = -x2, -x3
+        return _F((x0, x1)), _F((x2, x3))
+
     def __mul__(self, other: "BiquadNumber") -> "BiquadNumber":
         if other.field.d.value != self.field.d.value:
             raise ValueError("mixed fields")
-        return BiquadNumber(
-            _mul4(self.coordinates, other.coordinates, self.field.d.value),
-            self.field,
-        )
+        A, B = relative_mul(self._over_F(), other._over_F(), self.field.d.value)
+        return BiquadNumber((*A, *B), self.field)
 
     def __neg__(self) -> "BiquadNumber":
         return BiquadNumber(tuple(-c for c in self.coordinates), self.field)
@@ -135,28 +167,8 @@ class BiquadNumber:
 
     def embedding_sign(self, flip_sqrt2: bool, flip_sqrtd: bool) -> int:
         """Exact sign of the image under the chosen real embedding."""
-        d = self.field.d.value
-        x0, x1, x2, x3 = self.coordinates
-        s2 = -1 if flip_sqrt2 else 1
-        sd = -1 if flip_sqrtd else 1
-        # x = A + B*sqrt(d) with A, B in Q(sqrt(2)); sqrt(2d) maps with both
-        a = (x0, s2 * x1)
-        b = (sd * x2, s2 * sd * x3)
-        sign_b = sign_of_quadratic(b[0], b[1], 2)
-        sign_a = sign_of_quadratic(a[0], a[1], 2)
-        if sign_b == 0:
-            return sign_a
-        if sign_a == 0:
-            return sign_b
-        if sign_a == sign_b:
-            return sign_a
-        # |A| vs |B| sqrt(d): compare A^2 - d B^2 inside Q(sqrt(2))
-        diff = (
-            a[0] * a[0] + 2 * a[1] * a[1] - d * (b[0] * b[0] + 2 * b[1] * b[1]),
-            2 * a[0] * a[1] - d * 2 * b[0] * b[1],
-        )
-        cmp = sign_of_quadratic(diff[0], diff[1], 2)
-        return sign_a if cmp > 0 else sign_b
+        x = self._over_F(flip_sqrt2, flip_sqrtd)
+        return relative_sign(x, self.field.d.value, _F.sign)
 
     def totally_positive(self) -> bool:
         return all(
@@ -166,65 +178,16 @@ class BiquadNumber:
         )
 
 
-# elements of the base field F = Q(sqrt(2)) as plain (u, v) pairs
-
-
-def _f_mul(x, y):
-    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _f_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _f_div(x, y):
-    n = y[0] * y[0] - 2 * y[1] * y[1]
-    if n == 0:
-        raise ZeroDivisionError
-    return ((x[0] * y[0] - 2 * x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
-
-
 def sqrt_in_K1(x: BiquadNumber):
     """An exact square root of x in K1, or None.
 
     Writes x = A + B*sqrt(d) over F = Q(sqrt(2)) and solves
-    (C + D*sqrt(d))^2 = x: C^2 is a root of X^2 - A X + d B^2/4, both
-    branches tested by exact square extraction in F.  Candidates are
-    verified on raw coordinates before any lattice bound is applied.
+    (C + D*sqrt(d))^2 = x with quadfield.relative_sqrt.
     """
-    d = x.field.d.value
-    x0, x1, x2, x3 = x.coordinates
-    A = (x0, x1)
-    B = (x2, x3)
-    root = None
-    if B == (0, 0):
-        c = sqrt_in_quadratic(*A, 2)
-        if c is not None:
-            root = (c[0], c[1], Fraction(0), Fraction(0))
-        else:
-            c = sqrt_in_quadratic(A[0] / d, A[1] / d, 2)
-            if c is not None:
-                root = (Fraction(0), Fraction(0), c[0], c[1])
-    else:
-        bb = _f_mul(B, B)
-        n = _f_sub(_f_mul(A, A), (d * bb[0], d * bb[1]))
-        s = sqrt_in_quadratic(*n, 2)
-        if s is not None:
-            two = (Fraction(2), Fraction(0))
-            for t in (
-                _f_div((A[0] + s[0], A[1] + s[1]), two),
-                _f_div((A[0] - s[0], A[1] - s[1]), two),
-            ):
-                c = sqrt_in_quadratic(*t, 2)
-                if c is not None and c != (0, 0):
-                    dd = _f_div(B, (2 * c[0], 2 * c[1]))
-                    cand = (c[0], c[1], dd[0], dd[1])
-                    if _mul4(cand, cand, d) == x.coordinates:
-                        root = cand
-                        break
+    root = relative_sqrt(x._over_F(), x.field.d.value, _F.sqrt)
     if root is None:
         return None
-    return BiquadNumber(root, x.field)
+    return BiquadNumber((*root[0], *root[1]), x.field)
 
 
 def is_square_in_K1(x: BiquadNumber, field: BiquadField | None = None) -> bool:
@@ -310,16 +273,19 @@ def kuroda_order(Q: int, hA_K: int, hA_Kprime: int, hA_Qsqrt2: int) -> int:
 def structure_from_rank_and_order(rank: int, order: int) -> Abelian2Group | None:
     """The abelian 2-group of given rank and order when unique, else None.
 
-    rank r with order 2^r is elementary; order 2^(r+1) forces one factor 4;
-    anything larger leaves more than one group.
+    Rank 0 is the trivial group alone and rank 1 the cyclic group of that
+    order.  Rank r >= 2 with order 2^r is elementary, order 2^(r+1) forces
+    one factor 4, and anything larger leaves more than one group.
     """
     if order < 1 or order & (order - 1):
         raise ValueError("order must be a power of 2")
     m = order.bit_length() - 1
     if rank > m:
         raise Inconsistent(f"rank {rank} > log2(order) = {m}")
-    if rank == 0:
-        return Abelian2Group(())
+    if rank == 0 and m:
+        raise Inconsistent(f"rank 0 is the trivial group, not of order {order}")
+    if rank == 1:
+        return Abelian2Group((order,))
     if m == rank:
         return Abelian2Group((2,) * rank)
     if m == rank + 1:

@@ -53,7 +53,7 @@ def _document(command: str, inputs: dict, results, mismatches=()) -> dict:
 
 
 def _emit(doc: dict, out) -> None:
-    json.dump(doc, out, indent=2, default=str)
+    json.dump(doc, out, indent=2)
     out.write("\n")
 
 
@@ -79,8 +79,15 @@ def _structure_str(claim) -> str:
     return "+".join(f"Z/{f}" for f in claim.value.factors)
 
 
-def _row_for(d: int, do_verify: bool, oracle_limit: int) -> dict:
+def _shape_str(report) -> str:
+    return "" if report.shape is None else ",".join(report.shape.pattern)
+
+
+def _row_for(d: int, do_verify: bool, oracle_limit: int, shape: str | None) -> dict | None:
+    """The sweep row of d, or None when a shape filter is set and d fails it."""
     report = predict(d)
+    if shape and _shape_str(report) != shape:
+        return None
     provenance = []
     if report.rank_pattern is not None:
         provenance.append(f"rank pattern ({report.rank_pattern})")
@@ -101,7 +108,7 @@ def _row_for(d: int, do_verify: bool, oracle_limit: int) -> dict:
         "findings": findings,
         "row": {
             "d": report.d,
-            "shape": "" if report.shape is None else ",".join(report.shape.pattern),
+            "shape": _shape_str(report),
             "rank_K": report.rank_K.value,
             "rank_Kprime": report.rank_Kprime.value,
             "rank_K1": report.rank_K1.value,
@@ -115,9 +122,9 @@ def _row_for(d: int, do_verify: bool, oracle_limit: int) -> dict:
     }
 
 
-def _map_rows(ds, do_verify, oracle_limit, threads):
+def _map_rows(ds, do_verify, oracle_limit, threads, shape):
     if threads <= 1:
-        return [_row_for(d, do_verify, oracle_limit) for d in ds]
+        return [_row_for(d, do_verify, oracle_limit, shape) for d in ds]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(
             pool.map(
@@ -125,6 +132,7 @@ def _map_rows(ds, do_verify, oracle_limit, threads):
                 ds,
                 itertools.repeat(do_verify),
                 itertools.repeat(oracle_limit),
+                itertools.repeat(shape),
                 chunksize=32,
             )
         )
@@ -151,8 +159,8 @@ def _cmd_classify(args, out) -> int:
     return code
 
 
-def _sweep_rows(args, do_verify: bool) -> list[dict]:
-    """Rows for every odd square-free d in [--min, --max)."""
+def _sweep_rows(args, do_verify: bool, shape: str | None = None) -> list[dict]:
+    """Rows for every odd square-free d in [--min, --max) of the given shape."""
     if args.max <= args.min:
         raise UsageError("--max must exceed --min")
     if args.threads < 1:
@@ -162,13 +170,12 @@ def _sweep_rows(args, do_verify: bool) -> list[dict]:
         for fs in squarefree_range(max(args.min, 3), args.max)
         if fs.value % 2 == 1
     ]
-    return _map_rows(ds, do_verify, args.oracle_limit, args.threads)
+    rows = _map_rows(ds, do_verify, args.oracle_limit, args.threads, shape)
+    return [r for r in rows if r is not None]
 
 
 def _cmd_enumerate(args, out) -> int:
-    rows = _sweep_rows(args, args.verify)
-    if args.shape:
-        rows = [r for r in rows if r["row"]["shape"] == args.shape]
+    rows = _sweep_rows(args, args.verify, args.shape)
     mismatches = [m for r in rows for m in r["mismatches"]]
     if args.csv:
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)

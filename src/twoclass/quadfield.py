@@ -5,7 +5,9 @@ local-norm test for -1.
 Units are computed from the periodic continued fraction of sqrt(d), or of
 (1 + sqrt(d))/2 when d = 1 (mod 4), over exact integers.  Every element is
 carried as a pair of rationals, so squareness and sign questions are decided
-without floating point.
+without floating point.  relative_mul, relative_sign and relative_sqrt are
+the one product, sign and square root of a + b*sqrt(d) over an exact ordered
+base field: Q(sqrt(d)) over Q here, and K1 over Q(sqrt(2)) in biquad.
 """
 
 from __future__ import annotations
@@ -65,22 +67,63 @@ def splitting_in(p: int, field: QuadraticField) -> SplitType:
 # --- exact elements a + b*sqrt(d) ----------------------------------------
 
 
+def relative_mul(x, y, d):
+    """The product of x = (a, b) and y = (c, e) as elements a + b*sqrt(d)."""
+    a, b = x
+    c, e = y
+    return a * c + b * e * d, a * e + b * c
+
+
+def relative_sign(x, d, sign):
+    """Exact sign of a + b*sqrt(d), given the base field's exact sign."""
+    a, b = x
+    sa, sb = sign(a), sign(b)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    # opposite signs: the larger of a**2 and d*b**2 wins
+    cmp = sign(a * a - b * b * d)
+    if cmp == 0:  # impossible for non-square d, kept for safety
+        return 0
+    return sa if cmp > 0 else sb
+
+
+def relative_sqrt(x, d, sqrt):
+    """Solve (u + v*sqrt(d))**2 = x = (a, b), given the base field's sqrt.
+
+    Returns (u, v) or None.  For b = 0 the root is in the base field or a
+    base multiple of sqrt(d).  Otherwise u**2 = t/2 with t = a +/- s and
+    s**2 = a**2 - d b**2 (the roots of X**2 - a X + d b**2 / 4), so
+    w = sqrt(2t) = 2u gives the candidate (t/w, b/w); it is returned only
+    after squaring back to x.
+    """
+    a, b = x
+    if not b:
+        r = sqrt(a)
+        if r is not None:
+            return r, b
+        r = sqrt(a / d)
+        return None if r is None else (b, r)
+    s = sqrt(a * a - b * b * d)
+    if s is None:
+        return None
+    for t in (a + s, a - s):
+        w = sqrt(t + t)
+        if w is not None:
+            root = t / w, b / w
+            if relative_mul(root, root, d) == (a, b):
+                return root
+    return None
+
+
+def _sign(q: Fraction) -> int:
+    return (q > 0) - (q < 0)
+
+
 def sign_of_quadratic(a: Fraction, b: Fraction, d: int) -> int:
     """Exact sign of a + b*sqrt(d) for rational a, b and nonsquare d >= 2."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # opposite signs: compare a**2 against d*b**2
-    lhs = a * a
-    rhs = b * b * d
-    if lhs == rhs:  # impossible for nonsquare d, kept for safety
-        return 0
-    return (1 if a > 0 else -1) if lhs > rhs else (1 if b > 0 else -1)
+    return relative_sign((a, b), d, _sign)
 
 
 def sqrt_rational(q: Fraction):
@@ -97,34 +140,8 @@ def sqrt_rational(q: Fraction):
 
 
 def sqrt_in_quadratic(a: Fraction, b: Fraction, d: int):
-    """Solve (u + v*sqrt(d))**2 = a + b*sqrt(d) over the rationals.
-
-    Returns (u, v) or None.  Complete case analysis: for b = 0 the root is
-    rational or a rational multiple of sqrt(d); otherwise u**2 is a root of
-    X**2 - a X + d b**2 / 4 and both branches are tested exactly.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 and b == 0:
-        return Fraction(0), Fraction(0)
-    if b == 0:
-        r = sqrt_rational(a)
-        if r is not None:
-            return r, Fraction(0)
-        r = sqrt_rational(a / d)
-        if r is not None:
-            return Fraction(0), r
-        return None
-    n = a * a - d * b * b
-    s = sqrt_rational(n)
-    if s is None:
-        return None
-    for t in ((a + s) / 2, (a - s) / 2):
-        u = sqrt_rational(t)
-        if u:
-            v = b / (2 * u)
-            if u * u + d * v * v == a and 2 * u * v == b:
-                return u, v
-    return None
+    """(u, v) with (u + v*sqrt(d))**2 = a + b*sqrt(d) over the rationals, or None."""
+    return relative_sqrt((Fraction(a), Fraction(b)), d, sqrt_rational)
 
 
 @dataclass(frozen=True)
@@ -155,10 +172,8 @@ class QuadInteger:
     def __mul__(self, other: "QuadInteger") -> "QuadInteger":
         if other.field != self.field:
             raise ValueError("mixed fields")
-        d = self.field.d
         return QuadInteger(
-            self.a * other.a + d * self.b * other.b,
-            self.a * other.b + self.b * other.a,
+            *relative_mul((self.a, self.b), (other.a, other.b), self.field.d),
             self.field,
         )
 

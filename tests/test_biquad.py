@@ -209,6 +209,13 @@ def test_structure_from_rank_and_order():
     assert structure_from_rank_and_order(2, 4) == Abelian2Group((2, 2))
     assert structure_from_rank_and_order(2, 16) is None
     assert structure_from_rank_and_order(0, 1) == Abelian2Group(())
+    # rank 1 is always cyclic, and rank 0 allows only the trivial group
+    for m in range(1, 6):
+        assert structure_from_rank_and_order(1, 2**m) == Abelian2Group((2**m,))
+    with pytest.raises(Inconsistent):
+        structure_from_rank_and_order(0, 4)
+    with pytest.raises(Inconsistent):
+        structure_from_rank_and_order(1, 1)
     assert structure_from_rank_and_order(3, 16) == Abelian2Group((2, 2, 4))
     with pytest.raises(Inconsistent):
         structure_from_rank_and_order(3, 4)

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 import twoclass.cli as cli
 from twoclass.arith import squarefree_range
 from twoclass.classify import OracleCheck, OracleComparison
@@ -208,3 +210,25 @@ def test_sweep_predicts_once_per_field(monkeypatch):
     calls.clear()
     code, doc, _ = run_json(["classify", "1365", "--verify"])
     assert code == 0 and calls == [1365]
+
+
+def test_emit_rejects_objects_that_are_not_json():
+    with pytest.raises(TypeError):
+        cli._emit({"x": object()}, io.StringIO())
+
+
+def test_enumerate_verifies_only_rows_of_the_shape(monkeypatch):
+    calls = []
+    real = cli.verify_against_oracle
+
+    def counting(report, limit):
+        calls.append(report.d)
+        return real(report, limit)
+
+    monkeypatch.setattr(cli, "verify_against_oracle", counting)
+    argv = ["enumerate", "--max", "2000", "--shape", "p,p,q,q", "--verify"]
+    code, doc, _ = run_json(argv)
+    assert code == 0
+    rows = doc["results"]
+    assert rows and all(r["shape"] == "p,p,q,q" for r in rows)
+    assert calls == [r["d"] for r in rows]
