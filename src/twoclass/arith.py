@@ -36,7 +36,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality for 0 <= n < 2**64 (deterministic Miller-Rabin)."""
+    """Exact primality for 0 <= n < 2**64: the sieve when it covers n,
+    else deterministic Miller-Rabin."""
     if n < 0:
         raise ValueError("primality is defined for nonnegative integers")
     if n >= _MR_LIMIT:
@@ -44,6 +45,8 @@ def is_prime(n: int) -> bool:
         raise ValueError("deterministic witness set only covers n < 2**64")
     if n < 2:
         return False
+    if n < len(_spf):
+        return _spf[n] == n
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p

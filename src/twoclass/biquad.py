@@ -16,7 +16,6 @@ from fractions import Fraction
 from .arith import FactoredSquarefree, as_factored, two_power_residue_test
 from .forms import Abelian2Group
 from .quadfield import (
-    FundamentalUnit,
     _sign,
     fundamental_unit,
     quadratic_field,
@@ -190,7 +189,7 @@ def sqrt_in_K1(x: BiquadNumber):
     return BiquadNumber((*root[0], *root[1]), x.field)
 
 
-def is_square_in_K1(x: BiquadNumber, field: BiquadField | None = None) -> bool:
+def is_square_in_K1(x: BiquadNumber) -> bool:
     """Exact decision of x in K1^x2; False immediately unless totally positive."""
     if x.is_zero():
         raise ValueError("squareness of zero is not asked here")
@@ -199,51 +198,36 @@ def is_square_in_K1(x: BiquadNumber, field: BiquadField | None = None) -> bool:
     return sqrt_in_K1(x) is not None
 
 
-def _unit_in_K1(unit: FundamentalUnit, radicand: int, field: BiquadField) -> BiquadNumber:
-    """Embed a quadratic subfield unit into K1 coordinates."""
-    a, b = unit.value.a, unit.value.b
-    d = field.d.value
-    zero = Fraction(0)
-    if radicand == 2:
-        return BiquadNumber((a, b, zero, zero), field)
-    if radicand == d:
-        return BiquadNumber((a, zero, b, zero), field)
-    if radicand == 2 * d:
-        return BiquadNumber((a, zero, zero, b), field)
-    raise ValueError(f"{radicand} is not a subfield radicand")
-
-
 def subfield_units(field: BiquadField) -> tuple[BiquadNumber, BiquadNumber, BiquadNumber]:
-    """Fundamental units of Q(sqrt(d)), Q(sqrt(2d)), Q(sqrt(2)) inside K1."""
-    d = field.d.value
-    return tuple(
-        _unit_in_K1(fundamental_unit(quadratic_field(r)), r, field)
-        for r in (d, 2 * d, 2)
-    )
+    """Fundamental units of Q(sqrt(d)), Q(sqrt(2d)), Q(sqrt(2)) inside K1,
+    each a + b*sqrt(r) with b in the coordinate of its own sqrt(r)."""
+    fs = field.d
+    fs2 = FactoredSquarefree(2 * fs.value, (2,) + fs.primes)
+    units = []
+    for sub, slot in ((fs, 2), (fs2, 3), (FactoredSquarefree(2, (2,)), 1)):
+        unit = fundamental_unit(quadratic_field(sub)).value
+        coords = [unit.a, Fraction(0), Fraction(0), Fraction(0)]
+        coords[slot] = unit.b
+        units.append(BiquadNumber(tuple(coords), field))
+    return tuple(units)
 
 
 def unit_square_relations(field: BiquadField) -> list[tuple[int, int, int]]:
     """Exponent vectors (a, b, c) != 0 with +/- e1^a e2^b e3^c a square in K1."""
     e1, e2, e3 = subfield_units(field)
-    found = []
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                if (a, b, c) == (0, 0, 0):
-                    continue
-                u = _one(field)
-                for base, exp in ((e1, a), (e2, b), (e3, c)):
-                    if exp:
-                        u = u * base
-                if is_square_in_K1(u) or is_square_in_K1(-u):
-                    found.append((a, b, c))
-    return found
-
-
-def _one(field: BiquadField) -> BiquadNumber:
-    return BiquadNumber(
-        (Fraction(1), Fraction(0), Fraction(0), Fraction(0)), field
-    )
+    e12 = e1 * e2
+    products = {
+        (0, 0, 1): e3,
+        (0, 1, 0): e2,
+        (0, 1, 1): e2 * e3,
+        (1, 0, 0): e1,
+        (1, 0, 1): e1 * e3,
+        (1, 1, 0): e12,
+        (1, 1, 1): e12 * e3,
+    }
+    return [
+        v for v, u in products.items() if is_square_in_K1(u) or is_square_in_K1(-u)
+    ]
 
 
 def _f2_rank(vectors) -> int:

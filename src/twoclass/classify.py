@@ -570,8 +570,9 @@ def predict(d) -> PredictionReport:
     except OutOfTable:
         shape = None
         flags.append("shape: outside the t=3,4 tables")
-    rank_k = Claim(genus_rank(fs.value), "genus field")
-    rank_kp = Claim(genus_rank(2 * fs.value), "genus field of Q(sqrt(2d))")
+    rank_k = Claim(genus_rank(fs), "genus field")
+    fs2 = FactoredSquarefree(2 * fs.value, (2,) + fs.primes)
+    rank_kp = Claim(genus_rank(fs2), "genus field of Q(sqrt(2d))")
     rank_k1 = Claim(first_layer_rank(fs), "first-layer rank formula")
     pattern = stable_rank_type(fs)
     if rank_pattern_tension(fs):
@@ -716,7 +717,7 @@ def verify_against_oracle(
         )
     sK = class_group_summary(D)
     sKp = class_group_summary(Dprime)
-    narrow_rank = narrow_genus_rank(fs.value)
+    narrow_rank = narrow_genus_rank(fs)
     checks = [
         OracleCheck(
             "rank A(K)",

@@ -83,8 +83,9 @@ def _shape_str(report) -> str:
     return "" if report.shape is None else ",".join(report.shape.pattern)
 
 
-def _row_for(d: int, do_verify: bool, oracle_limit: int, shape: str | None) -> dict | None:
-    """The sweep row of d, or None when a shape filter is set and d fails it."""
+def _row_for(d, do_verify: bool, oracle_limit: int, shape: str | None) -> dict | None:
+    """The sweep row of d (an int or the sieve's FactoredSquarefree), or None
+    when a shape filter is set and d fails it."""
     report = predict(d)
     if shape and _shape_str(report) != shape:
         return None
@@ -166,7 +167,7 @@ def _sweep_rows(args, do_verify: bool, shape: str | None = None) -> list[dict]:
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
     ds = [
-        fs.value
+        fs
         for fs in squarefree_range(max(args.min, 3), args.max)
         if fs.value % 2 == 1
     ]

@@ -11,6 +11,7 @@ subgroup of A(K) fixed by Gal(K/Q).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .arith import factorize, is_prime
@@ -34,40 +35,38 @@ def starred_prime(p: int) -> int:
     return p if p % 4 == 1 else -p
 
 
+def _fundamental_primes(D: int) -> list[int] | None:
+    """The primes dividing D when D is a fundamental discriminant, else None."""
+    if D in (0, 1) or D % 4 not in (0, 1) or D % 16 in (4, 0):
+        return None
+    fac = factorize(abs(D))
+    if any(e > 1 for p, e in fac if p != 2):
+        return None
+    return [p for p, _ in fac]
+
+
 def is_fundamental(D: int) -> bool:
     """Whether D is the discriminant of a quadratic field."""
-    if D == 1 or D == 0:
-        return False
-    if D % 4 == 1:
-        return all(e == 1 for _, e in factorize(abs(D)))
-    if D % 4 != 0:
-        return False
-    m = D // 4
-    if m % 4 == 1:
-        return False
-    return all(e == 1 for p, e in factorize(abs(m)) if p != 2) and m % 4 in (2, 3)
+    return _fundamental_primes(D) is not None
+
+
+def _prime_discriminants_of(D: int, primes) -> list[int]:
+    """The prime discriminants of a fundamental D with prime divisors primes.
+
+    Odd p contributes p* = (+/-)p; when 2 | D the residual factor is one of
+    -4, 8, -8 and is appended last.
+    """
+    out = [starred_prime(p) for p in primes if p != 2]
+    r = D // math.prod(out)
+    return out if r == 1 else out + [r]
 
 
 def prime_discriminants(D: int) -> list[int]:
-    """The unique factorization of a fundamental D into prime discriminants.
-
-    Odd p | D contributes p* = (+/-)p; when 2 | D the residual factor is one
-    of -4, 8, -8 and is appended last.
-    """
-    if not is_fundamental(D):
+    """The unique factorization of a fundamental D into prime discriminants."""
+    primes = _fundamental_primes(D)
+    if primes is None:
         raise NotFundamental(f"{D} is not a fundamental discriminant")
-    out = [starred_prime(p) for p, _ in factorize(abs(D)) if p != 2]
-    prod = 1
-    for q in out:
-        prod *= q
-    r, rem = divmod(D, prod)
-    if rem:
-        raise NotFundamental(f"{D} is not divisible by its odd part {prod}")
-    if r != 1:
-        if r not in (-4, 8, -8):
-            raise NotFundamental(f"residual 2-part {r} of {D} is not -4, 8, -8")
-        out.append(r)
-    return out
+    return _prime_discriminants_of(D, primes)
 
 
 def _radicand(prime_disc: int) -> int:
@@ -115,7 +114,8 @@ def _field_of(K) -> QuadraticField:
 def narrow_genus_field(K) -> GenusField:
     """Generated by the square roots of all prime discriminants of D_K."""
     K = _field_of(K)
-    rads = tuple(_radicand(q) for q in prime_discriminants(K.discriminant))
+    discs = _prime_discriminants_of(K.discriminant, K.primes)
+    rads = tuple(_radicand(q) for q in discs)
     return GenusField(rads, 2 ** len(rads), "narrow")
 
 
@@ -154,7 +154,7 @@ def genus_fixed_order(K) -> int:
     else 2.
     """
     K = _field_of(K)
-    t = len(factorize(K.discriminant))
+    t = len(narrow_genus_field(K).radicands)
     n = 1 if minus_one_is_norm(K) else 2
     order2 = 2 ** (t - 1)
     if order2 % n:

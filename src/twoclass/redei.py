@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import as_factored, factorize, kronecker
+from .arith import as_factored, kronecker
 from .genus import prime_discriminants
 
 
@@ -51,23 +51,24 @@ def s1_decompositions(D: int) -> list[Decomposition]:
     return out
 
 
-def _residue_everywhere(d1: int, d2: int) -> bool:
-    """kronecker(d1, p) = +1 for every prime p | d2 (p = 2 included)."""
-    return all(kronecker(d1, p) == 1 for p, _ in factorize(abs(d2)))
+def _residue_everywhere(d1: int, d2: int, primes) -> bool:
+    """kronecker(d1, p) = +1 for every prime p | d2 (p = 2 included), where
+    primes are the primes of D = d1 * d2."""
+    return all(kronecker(d1, p) == 1 for p in primes if d2 % p == 0)
 
 
 def s2_decompositions(D: int) -> list[Decomposition]:
     """(1, D) together with the splittings passing both character tests."""
-    out = []
-    for dec in s1_decompositions(D):
-        if dec.D1 == 1:
-            out.append(dec)
-            continue
-        if _residue_everywhere(dec.D1, dec.D2) and _residue_everywhere(
-            dec.D2, dec.D1
-        ):
-            out.append(dec)
-    return out
+    primes = [abs(q) if q % 2 else 2 for q in prime_discriminants(D)]
+    return [
+        dec
+        for dec in s1_decompositions(D)
+        if dec.D1 == 1
+        or (
+            _residue_everywhere(dec.D1, dec.D2, primes)
+            and _residue_everywhere(dec.D2, dec.D1, primes)
+        )
+    ]
 
 
 def narrow_two_elementary(D: int) -> bool:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import twoclass.arith as arith
 from twoclass.arith import (
     FactoredSquarefree,
     NonCoprimeModuli,
@@ -34,9 +35,16 @@ def test_is_prime_examples():
     assert 3599 == 59 * 61
 
 
-def test_is_prime_against_trial_division():
-    for n in range(0, 3000):
-        assert is_prime(n) == naive_is_prime(n), n
+def test_is_prime_against_trial_division(monkeypatch):
+    # is_prime reads the sieve for n < len(_spf) and runs Miller-Rabin
+    # beyond it: the full table, one cut at 50000 and none cover both paths
+    n_max = 10**5
+    expected = [naive_is_prime(n) for n in range(n_max)]
+    full = arith.spf_table(n_max)
+    for table in (full, full[:50000], []):
+        monkeypatch.setattr(arith, "_spf", table)
+        bad = [n for n in range(n_max) if is_prime(n) != expected[n]]
+        assert not bad, (len(table), bad[:5])
 
 
 def test_is_prime_known_large():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from twoclass.arith import kronecker, squarefree_range
 from twoclass.biquad import first_layer_rank
 from twoclass.classify import (
+    _PPQQ_CONDITIONS,
     stable_rank_type,
     structure_condition_ppqq,
     structure_condition_qqqq,
@@ -102,6 +104,33 @@ def test_ppqq_condition_verbatim_sets():
     assert kronecker(p1, q1) == -1
     assert kronecker(p1, q2) == 1
     assert kronecker(q1 * q2, p2) == 1
+
+
+def test_ppqq_condition_2_is_condition_1_with_p1_p2_swapped():
+    # over every assignment of the symbols of (p1, p2, q1, q2) = (5, 5, 7, 3)
+    # mod 8 that reciprocity allows; since structure_condition_ppqq tries
+    # both orders of p1, p2, condition (2) can never be the first match
+    residues = (5, 5, 7, 3)
+    pairs = list(itertools.combinations(range(1, 5), 2))
+    swap = {1: 2, 2: 1, 3: 3, 4: 4}
+    holds = 0
+    for values in itertools.product((1, -1), repeat=len(pairs)):
+        assign = dict(zip(pairs, values))
+
+        def L(i, j, assign=assign):
+            if i < j:
+                return assign[(i, j)]
+            both_3_mod_4 = residues[i - 1] % 4 == residues[j - 1] % 4 == 3
+            return -assign[(j, i)] if both_3_mod_4 else assign[(j, i)]
+
+        second = _PPQQ_CONDITIONS[1](L)
+        assert second == _PPQQ_CONDITIONS[0](lambda i, j: L(swap[i], swap[j]))
+        holds += second
+    assert holds
+    for fs in squarefree_range(3, 50000):
+        if sorted(p % 8 for p in fs.primes) == [3, 5, 5, 7]:
+            match = structure_condition_ppqq(fs)
+            assert match is None or match.condition != 2, fs.value
 
 
 def test_qqqq_condition_shapes():

@@ -162,14 +162,34 @@ def test_verify_surfaces_findings_without_failing():
     assert any(f["d"] == 3045 for f in found)
 
 
-def test_verify_mismatch_exit_2(monkeypatch):
+def _fail_every_check(monkeypatch):
     bad = OracleComparison(
         15, (OracleCheck("rank A(K)", 1, 2, False),), ()
     )
     monkeypatch.setattr(cli, "verify_against_oracle", lambda d, limit: bad)
+
+
+def test_verify_mismatch_exit_2(monkeypatch):
+    _fail_every_check(monkeypatch)
     code, doc, _ = run_json(["verify", "--max", "20"])
     assert code == 2
     assert doc["mismatches"]
+
+
+def test_verify_mismatch_exit_2_through_the_pool(monkeypatch):
+    # the forked workers inherit the patched verify_against_oracle
+    _fail_every_check(monkeypatch)
+    code, doc, _ = run_json(["verify", "--max", "20", "--threads", "2"])
+    assert code == 2
+    assert len(doc["mismatches"]) == doc["results"]["fields"] == 8
+
+
+def test_verify_identical_across_parallelism():
+    # the workers get the sieve's FactoredSquarefree objects
+    one = run_json(["verify", "--max", "400", "--threads", "1"])
+    two = run_json(["verify", "--max", "400", "--threads", "2"])
+    assert one[0] == two[0] == 0
+    assert two[2] == one[2]
 
 
 def test_oracle_range_exit_3():
@@ -198,7 +218,7 @@ def test_sweep_predicts_once_per_field(monkeypatch):
     real = cli.predict
 
     def counting(d):
-        calls.append(d)
+        calls.append(int(d))
         return real(d)
 
     monkeypatch.setattr(cli, "predict", counting)

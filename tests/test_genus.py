@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from twoclass.arith import squarefree_range
+from twoclass.arith import FactoredSquarefree, squarefree_range
 from twoclass.forms import class_group_summary
 from twoclass.genus import (
     EvenPrime,
@@ -17,7 +17,7 @@ from twoclass.genus import (
     prime_discriminants,
     starred_prime,
 )
-from twoclass.quadfield import minus_one_is_norm, quadratic_field
+from twoclass.quadfield import discriminant, minus_one_is_norm, quadratic_field
 
 
 def test_starred_prime():
@@ -61,6 +61,20 @@ def test_narrow_genus_field():
     assert set(narrow_genus_field(2).radicands) == {2}
     # d = 15: prime discriminants of 60 are {-4, 5, -3}
     assert f2_span(narrow_genus_field(15).radicands) == f2_span((-1, 5, -3))
+
+
+def test_narrow_genus_field_reads_the_primes_it_carries():
+    # the field's own primes give the radicands of factoring D afresh
+    radicand = {-4: -1, 8: 2, -8: -2}
+    for fs in squarefree_range(2, 20000):
+        fields = [fs]
+        if fs.value % 2:
+            fields.append(FactoredSquarefree(2 * fs.value, (2,) + fs.primes))
+        for f in fields:
+            expected = tuple(
+                radicand.get(q, q) for q in prime_discriminants(discriminant(f))
+            )
+            assert narrow_genus_field(f).radicands == expected, f.value
 
 
 def test_genus_field():
