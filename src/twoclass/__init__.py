@@ -11,6 +11,7 @@ from .arith import (
     hilbert_symbol,
     is_prime,
     kronecker,
+    sqrt_mod_prime,
     squarefree_range,
     two_power_residue_test,
 )
@@ -78,6 +79,7 @@ from .redei import (
     narrow_two_elementary,
     s1_decompositions,
     s2_decompositions,
+    splitting_sets,
 )
 
 __version__ = "0.1.0"

@@ -239,6 +239,37 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def sqrt_mod_prime(n: int, p: int) -> int | None:
+    """A square root of n modulo an odd prime p, or None when n is a
+    quadratic non-residue (Tonelli-Shanks; one power when p = 3 mod 4)."""
+    n %= p
+    if n == 0:
+        return 0
+    if p % 4 == 3:
+        r = pow(n, (p + 1) // 4, p)
+        return r if r * r % p == n else None
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        # least i with t^(2^i) = 1; then i < e
+        i, u = 0, t
+        while u != 1:
+            u = u * u % p
+            i += 1
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
+
+
 @dataclass(frozen=True)
 class ResidueClass:
     """residue mod modulus, normalized to 0 <= residue < modulus."""

@@ -48,10 +48,6 @@ class BiquadField:
         if self.d.value % 2 == 0 or self.d.value < 3:
             raise EvenRadicand("need odd square-free d >= 3")
 
-    @property
-    def subfield_radicands(self) -> tuple[int, int, int]:
-        return (self.d.value, 2 * self.d.value, 2)
-
 
 def biquad_field(d) -> BiquadField:
     return BiquadField(as_factored(d))

@@ -28,7 +28,7 @@ from .classify import (
 )
 from .forms import narrow_class_group, ordinary_class_group, two_sylow
 from .quadfield import fundamental_unit
-from .redei import narrow_two_elementary, s1_decompositions, s2_decompositions
+from .redei import splitting_sets
 
 SCHEMA_VERSION = "1"
 
@@ -297,8 +297,7 @@ def _cmd_classgroup(args, out) -> int:
 
 
 def _cmd_s1s2(args, out) -> int:
-    s1 = s1_decompositions(args.D)
-    s2 = s2_decompositions(args.D)
+    s1, s2 = splitting_sets(args.D)
     doc = _document(
         "s1s2",
         {"D": args.D},
@@ -307,7 +306,7 @@ def _cmd_s1s2(args, out) -> int:
             "S2": [list(dec.as_pair()) for dec in s2],
             "count_S1": len(s1),
             "count_S2": len(s2),
-            "narrow_two_elementary": narrow_two_elementary(args.D),
+            "narrow_two_elementary": len(s2) == 1,
         },
     )
     _emit(doc, out)

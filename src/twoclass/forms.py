@@ -2,14 +2,15 @@
 quadratic forms.
 
 This is the verification oracle of the package: narrow class groups are
-computed from first principles by enumerating reduced forms, partitioning
-them into rho-cycles, and resolving the abelian group structure through
-Gauss composition.  Equivalence of forms is always decided by cycle
-membership, never by floating-point invariants.
+computed from first principles as rho-cycles of reduced forms.  For a
+fundamental D the cycles are found by closing the principal and sign cycles
+under Gauss composition with the prime forms of norm at most sqrt(D)/2;
+any other D walks every reduced form it has.  Equivalence of forms is always
+decided by cycle membership, never by floating-point invariants.
 
-One builder cuts the forms of D into cycles; the narrow group, its sign-class
-quotient (the ordinary group) and the summaries are read off it.  All torsion
-comes from the chains #A[p^k] of the iterated p-th power map.
+One builder finds the cycles of D; the narrow group, its sign-class quotient
+(the ordinary group) and the summaries are read off it.  All torsion comes
+from the chains #A[p^k] of the iterated p-th power map.
 
 A form (a, b, c) of discriminant D = b^2 - 4ac > 0 (nonsquare) is reduced
 when 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .arith import _xgcd, factorize, spf_table
+from .arith import _xgcd, factorize, spf_table, sqrt_mod_prime
 
 
 class InvalidDiscriminant(ValueError):
@@ -193,8 +194,9 @@ class _Cycles(NamedTuple):
 
     D: int
     s: int
-    cycle_of: dict  # reduced form -> cycle id, ids in enumeration order
+    cycle_of: dict  # reduced form -> cycle id, ids in the order found
     reps: list  # cycle id -> smallest form of the cycle
+    lows: list  # cycle id -> the forms of the cycle with the least b
     identity: int  # the principal cycle
     sign: int  # the cycle of forms representing -1
 
@@ -204,6 +206,12 @@ class _Cycles(NamedTuple):
     def power_map(self, p: int) -> list[int]:
         """Cycle id -> cycle id of its p-th power."""
         return [_power(self.mul, i, p) for i in range(len(self.reps))]
+
+    def enumeration_order(self) -> list[int]:
+        """The cycle ids in the order _reduced_forms_raw meets the cycles."""
+        spf = spf_table(self.s + 1)  # |a|, |c| <= s for reduced forms
+        keys = [min(_enumeration_position(f, spf) for f in low) for low in self.lows]
+        return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _power(mul, x: int, n: int) -> int:
@@ -216,31 +224,144 @@ def _power(mul, x: int, n: int) -> int:
     return out
 
 
+def _walk(f, D: int, s: int, cycle_of: dict, reps: list, lows: list) -> int:
+    """Number the rho-cycle of the reduced form f, keeping its smallest form
+    and its forms of least b (where the enumeration meets it first)."""
+    cid = len(reps)
+    rep = g = f
+    a, b, c = f
+    low_b, low = b, []
+    while True:
+        cycle_of[g] = cid
+        if g < rep:
+            rep = g
+        if b <= low_b:
+            if b < low_b:
+                low_b, low = b, []
+            low.append(g)
+        # _rho of a reduced form: |c| <= s, so r = -b (mod 2|c|) in (s - 2|c|, s]
+        r = s - (s + b) % (2 * abs(c))
+        a, b, c = c, r, (r * r - D) // (4 * c)
+        g = (a, b, c)
+        if g == f:
+            break
+    reps.append(rep)
+    lows.append(low)
+    return cid
+
+
+def _prime_forms(D: int, s: int) -> list[tuple[int, int, int]] | None:
+    """The forms (p, b, (b^2 - D)/4p) of the primes p <= s//2 + 1 with
+    (D/p) != -1, or None when D is not fundamental.
+
+    D fails to be fundamental exactly when D = 0, 4 (mod 16) or p^2 | D for
+    an odd prime p; such p is at most sqrt(D)/2 unless D is q^2, 2q^2 or
+    3q^2, which no valid nonsquare D is.
+    """
+    if D % 16 in (0, 4):
+        return None
+    b2 = next((b for b in range(4) if (b * b - D) % 8 == 0), None)
+    out = [] if b2 is None else [_prime_form(2, b2, D, s)]
+    spf = spf_table(s + 1)
+    for p in range(3, s // 2 + 2, 2):
+        if spf[p] != p:
+            continue
+        b = sqrt_mod_prime(D, p)
+        if b is None:
+            continue
+        if b == 0 and D % (p * p) == 0:
+            return None
+        if (b - D) % 2:  # b = D (mod 2) makes b^2 = D (mod 4p)
+            b += p
+        out.append(_prime_form(p, b, D, s))
+    return out
+
+
+def _prime_form(p: int, b: int, D: int, s: int) -> tuple[int, int, int]:
+    """(p, b', c) with b' = b (mod 2p) in (s - 2p, s], already reduced when
+    2p < sqrt(D) and b' > 0."""
+    b = s - (s - b) % (2 * p)
+    return p, b, (b * b - D) // (4 * p)
+
+
+def _count_primes(m: int, spf: list[int], counts: dict) -> dict:
+    """Add the prime exponents of m to counts."""
+    while m > 1:
+        p = spf[m]
+        m //= p
+        counts[p] = counts.get(p, 0) + 1
+    return counts
+
+
+def _enumeration_position(f: tuple[int, int, int], spf: list[int]) -> tuple:
+    """Where _reduced_forms_raw lists f: by b, then by the position of |a|
+    in _divisors_from_spf(|ac|), then a > 0 before a < 0."""
+    a, b, c = f
+    own = _count_primes(abs(a), spf, {})
+    exps = _count_primes(abs(c), spf, dict(own))
+    pos, size = 0, 1
+    for p in sorted(exps):
+        e = exps[p]
+        k = own.get(p, 0)
+        if k:
+            pos = size + pos * e + k - 1
+        size *= e + 1
+    return b, pos, a < 0
+
+
 def _cycles(D: int) -> _Cycles:
-    """Enumerate the primitive reduced forms of D once and cut them into
-    rho-cycles; find the principal and the sign cycle."""
+    """The rho-cycles of the primitive reduced forms of D, with the
+    principal and the sign cycle.
+
+    For fundamental D the classes are the closure of the principal and sign
+    cycles under the prime forms of norm p <= sqrt(D)/2: every cycle holds a
+    reduced form with |a| < sqrt(D)/2 (|ac| < D/4, and rho brings c to the
+    front), whose class is a product of prime-form classes times the sign
+    class when a < 0 (Cohen, GTM 138, 5.2 and 5.4).  Other D walk every
+    primitive form of the reduced-form enumeration.
+    """
     s = _check_discriminant(D)
+    gens = _prime_forms(D, s)
+    if gens is None:
+        return _cycles_from(D, s, _reduced_forms_raw(D, s), ())
+    return _cycles_from(D, s, (), gens)
+
+
+def _cycles_from(D: int, s: int, seeds, gens) -> _Cycles:
+    """Walk the cycles of the primitive forms among seeds, then those of the
+    principal and the sign form, then close the group under the classes of
+    gens.  Each class the closure adds costs one composition and one walk."""
     cycle_of: dict[tuple[int, int, int], int] = {}
     reps: list[tuple[int, int, int]] = []
-    for f in _reduced_forms_raw(D, s):
-        if f in cycle_of or math.gcd(math.gcd(f[0], f[1]), f[2]) != 1:
-            continue
-        cid = len(reps)
-        rep = g = f
-        while True:
-            cycle_of[g] = cid
-            if g < rep:
-                rep = g
-            g = _rho(*g, D, s)
-            if g == f:
-                break
-        reps.append(rep)
+    lows: list[list] = []
+
+    def cls(f):
+        cid = cycle_of.get(f)
+        return _walk(f, D, s, cycle_of, reps, lows) if cid is None else cid
+
+    for f in seeds:
+        if f not in cycle_of and math.gcd(math.gcd(f[0], f[1]), f[2]) == 1:
+            _walk(f, D, s, cycle_of, reps, lows)
     # the principal form, and -1 times it
     b0 = D & 1
     c0 = (b0 - D) // 4  # b0 * b0 == b0
-    principal = cycle_of[_reduce(1, b0, c0, D, s)]
-    sign = cycle_of[_reduce(-1, b0, -c0, D, s)]
-    return _Cycles(D, s, cycle_of, reps, principal, sign)
+    principal = cls(_reduce(1, b0, c0, D, s))
+    sign = cls(_reduce(-1, b0, -c0, D, s))
+    group = [principal] if sign == principal else [principal, sign]
+    in_group = set(group)
+    for g in gens:
+        x = cls(_reduce(*g, D, s))
+        coset, y, grown = group, x, []
+        while y not in in_group:
+            # the coset H x^k is (H x^(k-1)) x; group[0] = 1 puts x^k first
+            coset = [y] + [
+                cls(_compose_raw(reps[h], reps[x], D, s)) for h in coset[1:]
+            ]
+            grown += coset
+            y = cls(_compose_raw(reps[y], reps[x], D, s))
+        group = group + grown
+        in_group.update(grown)
+    return _Cycles(D, s, cycle_of, reps, lows, principal, sign)
 
 
 def _torsion_chain(pmap: list[int], p: int, kernel: set[int]) -> tuple[int, ...]:
@@ -315,8 +436,10 @@ class FormClassGroup:
     by the sign class (the ordinary group).
 
     classes holds one canonical reduced representative per group element:
-    the smallest form of the lowest-numbered cycle of its coset.  Composition
-    and all structure questions are answered through cycle membership.
+    the smallest form of the first cycle of its coset that the reduced-form
+    enumeration meets, in the order the enumeration meets the elements.
+    Composition and all structure questions are answered through cycle
+    membership.
     """
 
     def __init__(self, cycles: _Cycles, quotient: bool):
@@ -324,10 +447,10 @@ class FormClassGroup:
         self._cycles = cycles
         self._kernel = {cycles.identity, cycles.sign} if quotient else {cycles.identity}
         self.variant = "ordinary" if len(self._kernel) == 2 else "narrow"
-        # element position of each cycle; members[pos] = lowest cycle id
+        # element position of each cycle; members[pos] = its first cycle
         self._pos = [-1] * len(cycles.reps)
         self._members: list[int] = []
-        for cid in range(len(cycles.reps)):
+        for cid in cycles.enumeration_order():
             if self._pos[cid] < 0:
                 self._pos[cid] = len(self._members)
                 if len(self._kernel) == 2:
@@ -488,9 +611,10 @@ def class_group_summary(D: int) -> ClassGroupSummary:
     """The 2-power torsion chains of the narrow group and its sign-class
     quotient.
 
-    One reduced-form enumeration plus h compositions (the squaring map)
-    per discriminant; cached, since the acceptance sweeps revisit
-    discriminants.  Only the summary is kept, not the cycles.
+    One generator closure (about h compositions and one walk of every
+    cycle) plus h compositions for the squaring map per discriminant;
+    cached, since the acceptance sweeps revisit discriminants.  Only the
+    summary is kept, not the cycles.
     """
     cycles = _cycles(D)
     squares = cycles.power_map(2)

@@ -32,7 +32,10 @@ def s1_decompositions(D: int) -> list[Decomposition]:
     Includes (1, D); there are exactly 2^(t-1) splittings for t prime
     discriminants.  Normalized so |D1| < |D2|, sorted by |D1| then D1.
     """
-    discs = prime_discriminants(D)
+    return _s1(D, prime_discriminants(D))
+
+
+def _s1(D: int, discs: list[int]) -> list[Decomposition]:
     t = len(discs)
     seen = set()
     out = []
@@ -57,18 +60,29 @@ def _residue_everywhere(d1: int, d2: int, primes) -> bool:
     return all(kronecker(d1, p) == 1 for p in primes if d2 % p == 0)
 
 
-def s2_decompositions(D: int) -> list[Decomposition]:
-    """(1, D) together with the splittings passing both character tests."""
-    primes = [abs(q) if q % 2 else 2 for q in prime_discriminants(D)]
+def _s2(s1: list[Decomposition], discs: list[int]) -> list[Decomposition]:
+    primes = [abs(q) if q % 2 else 2 for q in discs]
     return [
         dec
-        for dec in s1_decompositions(D)
+        for dec in s1
         if dec.D1 == 1
         or (
             _residue_everywhere(dec.D1, dec.D2, primes)
             and _residue_everywhere(dec.D2, dec.D1, primes)
         )
     ]
+
+
+def splitting_sets(D: int) -> tuple[list[Decomposition], list[Decomposition]]:
+    """S1(D) and S2(D), from one factorization of D."""
+    discs = prime_discriminants(D)
+    s1 = _s1(D, discs)
+    return s1, _s2(s1, discs)
+
+
+def s2_decompositions(D: int) -> list[Decomposition]:
+    """(1, D) together with the splittings passing both character tests."""
+    return splitting_sets(D)[1]
 
 
 def narrow_two_elementary(D: int) -> bool:

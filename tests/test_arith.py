@@ -17,6 +17,7 @@ from twoclass.arith import (
     hilbert_symbol,
     is_prime,
     kronecker,
+    sqrt_mod_prime,
     squarefree_range,
     two_power_residue_test,
 )
@@ -158,6 +159,28 @@ def test_kronecker_multiplicative_in_lower_argument():
         if (a == 0 and m * n == 0) or (m == 0 and n == 0):
             continue
         assert kronecker(a, m * n) == kronecker(a, m) * kronecker(a, n)
+
+
+def test_sqrt_mod_prime_against_the_squares():
+    # every residue of every odd prime below 700, including p = 1 (mod 8)
+    # where Tonelli-Shanks takes several rounds
+    for p in range(3, 700, 2):
+        if not naive_is_prime(p):
+            continue
+        squares = {x * x % p for x in range(p)}
+        for n in range(p):
+            r = sqrt_mod_prime(n, p)
+            if n in squares:
+                assert r is not None and r * r % p == n, (n, p)
+            else:
+                assert r is None, (n, p)
+    # a large prime = 1 (mod 8), against Euler's criterion
+    p = 10**9 + 9
+    for n in range(1, 200):
+        r = sqrt_mod_prime(n, p)
+        assert (r is None) == (pow(n, (p - 1) // 2, p) == p - 1), n
+        assert r is None or r * r % p == n, n
+    assert sqrt_mod_prime(-1, 13) in (5, 8)
 
 
 def test_crt_examples():

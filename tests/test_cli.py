@@ -1,5 +1,10 @@
 import io
 import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -124,6 +129,41 @@ def test_classgroup_command():
     assert doc["results"]["order"] == 2
     code, doc, _ = run_json(["classgroup", "1365"])
     assert doc["results"]["two_sylow"] == [2, 2, 2]
+
+
+# Runs argv[1:] as a twoclass command, its only child, and prints that
+# command's peak RSS in KiB to stderr.
+_PEAK_RSS_PROBE = """
+import resource, subprocess, sys
+code = subprocess.run([sys.executable, "-m", "twoclass.cli", *sys.argv[1:]]).returncode
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_classgroup_of_a_large_discriminant_in_bounded_memory():
+    # the oracle's sieve once had D/4 entries, and this died with MemoryError
+    D = 400000001
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, "classgroup", str(D)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    res = json.loads(proc.stdout)["results"]
+    assert len(res["classes"]) == res["order"] == math.prod(res["structure"])
+    forms = [tuple(f) for f in res["classes"]]
+    assert len(set(forms)) == len(forms)
+    assert all(b * b - 4 * a * c == D for a, b, c in forms)
+    peak_mb = int(proc.stderr.split()[-1]) / 1024
+    assert peak_mb < 64, peak_mb
 
 
 def test_classgroup_ordinary_non_fundamental():

@@ -41,3 +41,8 @@ def test_sweeps_factor_nothing(factorize_calls, argv):
 def test_classify_factors_d_once(factorize_calls):
     assert cli.run(["classify", "1365", "--verify"], io.StringIO()) == 0
     assert factorize_calls == [1365]
+
+
+def test_s1s2_factors_d_once(factorize_calls):
+    assert cli.run(["s1s2", "10920"], io.StringIO()) == 0
+    assert factorize_calls == [10920]

@@ -1,8 +1,12 @@
+import io
 import math
 import random
 
 import pytest
 
+import twoclass.arith as arith
+import twoclass.cli as cli
+import twoclass.forms as oracle
 from twoclass.arith import factorize, squarefree_range
 from twoclass.forms import (
     Abelian2Group,
@@ -17,6 +21,7 @@ from twoclass.forms import (
     reduced_forms,
     two_sylow,
 )
+from twoclass.genus import is_fundamental
 from twoclass.quadfield import unit_norm
 
 
@@ -259,3 +264,99 @@ def test_torsion_chains_against_mul_and_power():
             assert two_sylow(g) == summ.two_sylow(
                 "narrow" if g is narrow else "ordinary"
             ), D
+
+
+# --- the generator closure against the full reduced-form enumeration -------
+
+
+def _enumerated_cycles(D):
+    """Reference cycles: walk every primitive form of the full reduced-form
+    enumeration (the list that reduced_forms(D) returns sorted)."""
+    s = math.isqrt(D)
+    seeds = oracle._reduced_forms_raw(D, s)
+    assert sorted(map(IndefiniteForm._make, seeds)) == reduced_forms(D)
+    return oracle._cycles_from(D, s, seeds, ())
+
+
+def _assert_builders_agree(D):
+    ref = _enumerated_cycles(D)
+    new = oracle._cycles(D)
+    primitive = {tuple(f) for f in reduced_forms(D) if math.gcd(*f) == 1}
+    assert set(ref.cycle_of) == primitive, D
+    for f, cid in ref.cycle_of.items():
+        assert ref.cycle_of[oracle._rho(*f, D, ref.s)] == cid, (D, f)
+    # the same cycles with the same representatives: h+ agrees
+    assert set(new.cycle_of) == primitive, D
+    pairs = {(ref.cycle_of[f], new.cycle_of[f]) for f in primitive}
+    assert len(pairs) == len(ref.reps) == len(new.reps), D
+    assert all(ref.reps[i] == new.reps[j] for i, j in pairs), D
+    assert (ref.identity, new.identity) in pairs, D
+    assert (ref.sign, new.sign) in pairs, D
+    # the reference numbers cycles as the enumeration meets them, and the
+    # order key reproduces that numbering
+    assert ref.enumeration_order() == list(range(len(ref.reps))), D
+    summ = class_group_summary(D)
+    assert summ.h_narrow == len(ref.reps), D
+    assert summ.sign_is_principal == (ref.sign == ref.identity), D
+    for quotient, build, chain in (
+        (False, narrow_class_group, summ.two_chain_narrow),
+        (True, ordinary_class_group, summ.two_chain_ordinary),
+    ):
+        want = oracle.FormClassGroup(ref, quotient)
+        got = build(D)
+        assert got.classes == want.classes, (D, quotient)
+        assert got.structure == want.structure, (D, quotient)
+        assert chain == want.torsion_chain(2), (D, quotient)
+
+
+@pytest.mark.parametrize("D", [5, 8, 12, 13, 17, 21, 24])
+def test_builders_agree_where_the_prime_bound_is_tiny(D):
+    s = math.isqrt(D)
+    assert s // 2 + 1 <= 3
+    assert oracle._prime_forms(D, s) is not None
+    _assert_builders_agree(D)
+
+
+def test_builders_agree_on_every_discriminant_below_10000():
+    # fundamental D go through the closure, the others through the walk of
+    # the enumeration; the prime loop's fundamental test decides which
+    for D in valid_discriminants(10000):
+        s = math.isqrt(D)
+        assert (oracle._prime_forms(D, s) is not None) == is_fundamental(D), D
+        _assert_builders_agree(D)
+
+
+def test_builders_agree_on_large_fundamental_discriminants():
+    rng = random.Random(20260)
+    sample = []
+    while len(sample) < 20:
+        D = rng.randrange(5 * 10**5, 4 * 10**6)
+        if math.isqrt(D) ** 2 != D and is_fundamental(D):
+            sample.append(D)
+    for D in sample:
+        _assert_builders_agree(D)
+
+
+def test_prime_forms_are_the_non_inert_primes_up_to_the_bound():
+    for D in (5, 8, 12, 1365, 10920, 400000001):
+        s = math.isqrt(D)
+        gens = oracle._prime_forms(D, s)
+        assert [f[0] for f in gens] == [
+            p
+            for p in range(2, s // 2 + 2)
+            if arith.is_prime(p) and arith.kronecker(D, p) != -1
+        ], D
+        for p, b, c in gens:
+            assert b * b - 4 * p * c == D, (D, p)
+            if 4 * p * p < D and b > 0:
+                assert oracle._is_reduced(p, b, c, D, s), (D, p)
+
+
+def test_oracle_never_grows_the_sweep_sieve(monkeypatch):
+    # the oracle's sieve needs sqrt(D) entries; the sweep's own sieve of
+    # --max entries must be the largest one built
+    monkeypatch.setattr(arith, "_spf", [])
+    class_group_summary.cache_clear()
+    argv = ["verify", "--min", "240000", "--max", "240100"]
+    assert cli.run(argv, io.StringIO()) == 0
+    assert len(arith._spf) <= 240101
