@@ -4,12 +4,22 @@ Deterministic primality, square-free factorization, Kronecker symbols,
 Chinese remaindering, local Hilbert symbols and the quartic residue
 obstruction test for 2 modulo primes p = 1 (mod 8).  Everything here is
 integer-exact; there is no floating point anywhere in this module.
+
+Primality reads the smallest-prime-factor sieve where it reaches and runs
+Miller-Rabin beyond it, with witness sets that are proven exact on their
+range: (2, 7, 61) below 4759123141 (Jaeschke, Math. Comp. 61, 1993) and the
+first twelve primes below 2**64 (Sorenson-Webster); the last 1024 answers
+beyond the sieve are memoised.  Sweeps factor their window with a
+segmented sieve (`squarefree_range`): only the primes up to the square root
+of the window's end are tabulated, and each block of the window is sieved
+by them in turn.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class NotSquarefree(ValueError):
@@ -28,16 +38,29 @@ class WrongResidueClass(ValueError):
     """The input prime lies in the wrong class for the requested test."""
 
 
-# deterministic witness set for n < 2**64 (Sorenson-Webster)
+# Miller-Rabin witness sets, each exact for every n below its bound:
+# (2, 7, 61) below 4759123141 = 48781 * 97561, the least strong pseudoprime
+# to all three (Jaeschke, Math. Comp. 61, 1993); the first twelve primes
+# below 2**64 (Sorenson-Webster)
+_MR_SMALL_LIMIT = 4_759_123_141
+_MR_SMALL_WITNESSES = (2, 7, 61)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 1 << 64
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# trial division runs through the largest witness, so that no witness is a
+# multiple of the n it tests (61 would call 61 composite)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality for 0 <= n < 2**64: the sieve when it covers n,
-    else deterministic Miller-Rabin."""
+    """Exact primality for 0 <= n < 2**64.
+
+    The sieve answers when it covers n.  Otherwise trial division by the
+    primes through 61 and strong-probable-prime tests to the witnesses
+    (2, 7, 61) when n < 4759123141, which is exact there (Jaeschke, Math.
+    Comp. 61, 1993), or to the first twelve primes, which is exact below
+    2**64 (Sorenson-Webster).  No answer is probabilistic.
+    """
     if n < 0:
         raise ValueError("primality is defined for nonnegative integers")
     if n >= _MR_LIMIT:
@@ -47,6 +70,18 @@ def is_prime(n: int) -> bool:
         return False
     if n < len(_spf):
         return _spf[n] == n
+    return _is_prime_beyond_sieve(n)
+
+
+# The layers of one field check its primes again and again (the
+# FactoredSquarefree of d and of 2d, genus.starred_prime, the residue
+# tests), so a short memo of recent answers spares repeating the test on a
+# prime beyond the sieve.
+@lru_cache(maxsize=1024)
+def _is_prime_beyond_sieve(n: int) -> bool:
+    """is_prime for 2 <= n < 2**64 without the sieve: trial division by the
+    primes through 61, then the strong-probable-prime test to every witness
+    of n's tier."""
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -55,7 +90,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    witnesses = _MR_SMALL_WITNESSES if n < _MR_SMALL_LIMIT else _MR_WITNESSES
+    for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -86,6 +122,12 @@ def spf_table(limit: int) -> list[int]:
                         tbl[q] = p
         _spf = tbl
     return _spf
+
+
+def primes_upto(n: int) -> list[int]:
+    """The primes p <= n, read off the sieve."""
+    spf = spf_table(n)
+    return [p for p in range(2, n + 1) if spf[p] == p]
 
 
 def _pollard_rho(n: int) -> int:
@@ -184,23 +226,44 @@ def as_factored(d) -> FactoredSquarefree:
     return factor_squarefree(int(d))
 
 
+# integers per block of the window sieve; one block of per-d prime lists is
+# alive at a time, whatever the window's length
+_BLOCK = 1 << 14
+
+
 def squarefree_range(lo: int, hi: int):
-    """Yield FactoredSquarefree for every square-free d with lo <= d < hi."""
-    if hi > lo:
-        spf = spf_table(hi)
-        for n in range(max(lo, 1), hi):
-            m = n
-            primes = []
-            ok = True
-            while m > 1:
-                p = spf[m]
-                m //= p
-                if m % p == 0:
-                    ok = False
-                    break
-                primes.append(p)
-            if ok:
-                yield FactoredSquarefree(n, tuple(primes))
+    """Yield FactoredSquarefree for every square-free d with lo <= d < hi.
+
+    A segmented sieve: [lo, hi) is sieved in blocks of _BLOCK integers by
+    the primes p <= isqrt(hi - 1), read off a sieve of that length.  A
+    block strikes the multiples of each p^2 and lists each p at its
+    multiples.  What is left of a square-free d after its listed primes is
+    1 or a single prime above isqrt(hi - 1): two such primes would multiply
+    to more than hi - 1.  Every prime still passes FactoredSquarefree's
+    is_prime check.
+    """
+    lo = max(lo, 1)
+    if hi <= lo:
+        return
+    primes = primes_upto(math.isqrt(hi - 1))
+    for start in range(lo, hi, _BLOCK):
+        size = min(_BLOCK, hi - start)
+        free = bytearray(b"\x01") * size
+        listed: list[list[int]] = [[] for _ in range(size)]
+        for p in primes:
+            for i in range(-start % p, size, p):
+                listed[i].append(p)
+            q = p * p
+            off = -start % q
+            if off < size:
+                free[off::q] = bytes(len(range(off, size, q)))
+        for i, ps in enumerate(listed):
+            if free[i]:
+                n = start + i
+                rest = n // math.prod(ps)
+                if rest > 1:
+                    ps.append(rest)
+                yield FactoredSquarefree(n, tuple(ps))
 
 
 # --- symbols --------------------------------------------------------------

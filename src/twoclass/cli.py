@@ -14,7 +14,6 @@ import csv
 import itertools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .arith import NotSquarefree, squarefree_range
 from .classify import (
@@ -126,6 +125,9 @@ def _row_for(d, do_verify: bool, oracle_limit: int, shape: str | None) -> dict |
 def _map_rows(ds, do_verify, oracle_limit, threads, shape):
     if threads <= 1:
         return [_row_for(d, do_verify, oracle_limit, shape) for d in ds]
+    # imported here: multiprocessing adds 10-30 ms to every start of the CLI
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(
             pool.map(
@@ -166,11 +168,13 @@ def _sweep_rows(args, do_verify: bool, shape: str | None = None) -> list[dict]:
         raise UsageError("--max must exceed --min")
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
-    ds = [
+    # lazily: each field is predicted while the primality answers for its
+    # primes are fresh in arith's memo, and no sweep holds all its fields
+    ds = (
         fs
         for fs in squarefree_range(max(args.min, 3), args.max)
         if fs.value % 2 == 1
-    ]
+    )
     rows = _map_rows(ds, do_verify, args.oracle_limit, args.threads, shape)
     return [r for r in rows if r is not None]
 

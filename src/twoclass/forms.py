@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .arith import _xgcd, factorize, spf_table, sqrt_mod_prime
+from .arith import _xgcd, factorize, primes_upto, spf_table, sqrt_mod_prime
 
 
 class InvalidDiscriminant(ValueError):
@@ -103,28 +103,36 @@ def reduce_form(f: IndefiniteForm) -> IndefiniteForm:
     return IndefiniteForm(*_reduce(*f, D, s))
 
 
-def _divisors_from_spf(n: int, spf: list[int]) -> list[int]:
+def _divisors(n: int, primes: list[int]) -> list[int]:
+    """The divisors of n >= 1, grouped by prime in increasing order; primes
+    must hold every prime up to isqrt(n)."""
     divs = [1]
-    while n > 1:
-        p = spf[n]
+    for p in primes:
+        if p * p > n:
+            break
         e = 0
         while n % p == 0:
             n //= p
             e += 1
-        divs += [d * p**k for d in divs for k in range(1, e + 1)]
+        if e:
+            divs += [d * p**k for d in divs for k in range(1, e + 1)]
+    if n > 1:
+        divs += [d * n for d in divs]
     return divs
 
 
 def _reduced_forms_raw(D: int, s: int) -> list[tuple[int, int, int]]:
-    """All reduced forms of discriminant D, by divisor enumeration per b."""
-    spf = spf_table(D // 4 + 1)
+    """All reduced forms of discriminant D, by divisor enumeration per b.
+    Each n = (D - b^2)/4 is factored by the primes up to isqrt(D // 4), so
+    the sieve has about sqrt(D)/2 entries."""
+    primes = primes_upto(math.isqrt(D // 4))
     out = []
     b = 2 - (D & 1)
     while b <= s:
         n = (D - b * b) // 4
         lo = s - b + 1  # window: lo <= 2a <= hi
         hi = s + b
-        for a in _divisors_from_spf(n, spf):  # the sieve covers n < D/4
+        for a in _divisors(n, primes):
             t = 2 * a
             if lo <= t <= hi:
                 c = -(n // a)
@@ -295,7 +303,7 @@ def _count_primes(m: int, spf: list[int], counts: dict) -> dict:
 
 def _enumeration_position(f: tuple[int, int, int], spf: list[int]) -> tuple:
     """Where _reduced_forms_raw lists f: by b, then by the position of |a|
-    in _divisors_from_spf(|ac|), then a > 0 before a < 0."""
+    in _divisors(|ac|), then a > 0 before a < 0."""
     a, b, c = f
     own = _count_primes(abs(a), spf, {})
     exps = _count_primes(abs(c), spf, dict(own))

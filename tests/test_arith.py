@@ -63,6 +63,29 @@ def test_strong_pseudoprimes_rejected():
         assert not is_prime(n)
 
 
+def test_is_prime_by_miller_rabin_alone_below_10_6(monkeypatch):
+    # with no sieve every n > 61 takes the (2, 7, 61) witnesses; 61 itself
+    # must be settled by trial division before its own witness sees it
+    sieve = arith.spf_table(10**6)
+    expected = [n >= 2 and sieve[n] == n for n in range(10**6)]
+    monkeypatch.setattr(arith, "_spf", [])
+    bad = [n for n in range(10**6) if is_prime(n) != expected[n]]
+    assert not bad, bad[:5]
+
+
+def test_is_prime_across_the_witness_tiers(monkeypatch):
+    monkeypatch.setattr(arith, "_spf", [])
+    # strong pseudoprimes to 2, to 2 and 3, to 2, 3 and 5, to the first five
+    # primes, and 4759123141 = 48781 * 97561, the least one to 2, 7 and 61,
+    # which must take the twelve-witness path
+    composites = (2047, 1373653, 25326001, 3215031751, 4759123141, 1122004669633)
+    assert 4759123141 == 48781 * 97561 == arith._MR_SMALL_LIMIT
+    for n in composites:
+        assert not is_prime(n), n
+    for n in (4294967291, 2**61 - 1):
+        assert is_prime(n), n
+
+
 def test_factor_squarefree():
     assert factor_squarefree(1885).primes == (5, 13, 29)
     assert factor_squarefree(1).primes == ()
@@ -92,6 +115,36 @@ def test_squarefree_range():
     assert got == [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19]
     for fs in squarefree_range(1, 200):
         assert math.prod(fs.primes) == fs.value
+
+
+def _factored_window(lo, hi):
+    out = []
+    for n in range(max(lo, 1), hi):
+        try:
+            out.append(factor_squarefree(n))
+        except NotSquarefree:
+            pass
+    return out
+
+
+def test_squarefree_range_windows_against_factor_squarefree(monkeypatch):
+    # 1017900..1018300 holds 1009^2 = 1018081, struck by the largest
+    # sieving prime; the last window crosses a block boundary
+    windows = [
+        (0, 1),
+        (1, 2),
+        (1, 3000),
+        (5, 5),
+        (1017900, 1018300),
+        (999000, 999000 + arith._BLOCK + 500),
+    ]
+    arith.spf_table(1020000)  # a fast reference: factorize reads the sieve
+    expected = {w: _factored_window(*w) for w in windows}
+    # the window sieve must not lean on a table that reaches the window
+    monkeypatch.setattr(arith, "_spf", [])
+    for w in windows:
+        assert list(squarefree_range(*w)) == expected[w], w
+    assert len(arith._spf) <= 4096
 
 
 def test_kronecker_examples():

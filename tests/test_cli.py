@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import twoclass.arith as arith
 import twoclass.cli as cli
 from twoclass.arith import squarefree_range
 from twoclass.classify import OracleCheck, OracleComparison
@@ -84,6 +85,35 @@ def test_enumerate_identical_across_parallelism():
         ["enumerate", "--min", "3", "--max", "400", "--threads", "3"]
     )
     assert sequential == parallel
+
+
+def test_enumerate_sieves_only_the_window(monkeypatch):
+    # the sweep's sieve holds the primes up to sqrt(--max), not --max
+    # entries; the one prime of a d beyond it is tested once, as the sieve
+    # yields d, and every later check of it in the field's layers is a hit
+    monkeypatch.setattr(arith, "_spf", [])
+    arith._is_prime_beyond_sieve.cache_clear()
+    argv = ["enumerate", "--csv", "--min", "1000000", "--max", "1002000"]
+    assert cli.run(argv, io.StringIO()) == 0
+    assert len(arith._spf) <= 4096
+    tests = arith._is_prime_beyond_sieve.cache_info()
+    assert tests.misses <= sum(1 for _ in squarefree_range(1000000, 1002000))
+    assert tests.hits > tests.misses
+
+
+def test_cli_import_loads_no_process_pool():
+    # only --threads > 1 needs a pool; every CLI start would pay for it
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import twoclass.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_enumerate_shape_filter():
@@ -164,6 +194,17 @@ def test_classgroup_of_a_large_discriminant_in_bounded_memory():
     assert all(b * b - 4 * a * c == D for a, b, c in forms)
     peak_mb = int(proc.stderr.split()[-1]) / 1024
     assert peak_mb < 64, peak_mb
+
+
+def test_classgroup_of_a_non_fundamental_discriminant_in_a_small_sieve(monkeypatch):
+    # the reduced-form enumeration factors (D - b^2)/4 by the primes up to
+    # sqrt(D)/2; it once sieved D/4 + 1 = 1000002 entries here
+    monkeypatch.setattr(arith, "_spf", [])
+    code, doc, _ = run_json(["classgroup", "4000004"])
+    assert code == 0
+    assert len(arith._spf) <= 4096
+    res = doc["results"]
+    assert len(res["classes"]) == res["order"] == math.prod(res["structure"])
 
 
 def test_classgroup_ordinary_non_fundamental():

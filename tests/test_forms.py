@@ -337,6 +337,53 @@ def test_builders_agree_on_large_fundamental_discriminants():
         _assert_builders_agree(D)
 
 
+def _reduced_forms_by_full_sieve(D, s):
+    """The reduced-form enumeration as it was with a sieve of D/4 + 1
+    entries: the divisors of each (D - b^2)/4 read off its
+    smallest-prime-factor chain."""
+    spf = arith.spf_table(D // 4 + 1)
+    out = []
+    for b in range(2 - (D & 1), s + 1, 2):
+        n = m = (D - b * b) // 4
+        divs = [1]
+        while m > 1:
+            p, e = spf[m], 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            divs += [d * p**k for d in divs for k in range(1, e + 1)]
+        for a in divs:
+            if s - b + 1 <= 2 * a <= s + b:
+                out += [(a, b, -(n // a)), (-a, b, n // a)]
+    return out
+
+
+def test_reduced_form_enumeration_as_with_the_full_sieve():
+    # the same forms in the same order; the walk of a non-fundamental D
+    # seeds from this list, and the reference cycles of the tests above too
+    for D in valid_discriminants(6000):
+        s = math.isqrt(D)
+        assert oracle._reduced_forms_raw(D, s) == _reduced_forms_by_full_sieve(D, s), D
+
+
+def test_classgroup_of_non_fundamental_discriminants_as_with_the_full_sieve(
+    monkeypatch,
+):
+    # the documents a non-fundamental D prints come from walking the
+    # reduced-form enumeration
+    def documents():
+        out = io.StringIO()
+        for D in valid_discriminants(6000):
+            if not is_fundamental(D):
+                for variant in ([], ["--ordinary"]):
+                    assert cli.run(["classgroup", str(D), *variant], out) == 0, D
+        return out.getvalue()
+
+    got = documents()
+    monkeypatch.setattr(oracle, "_reduced_forms_raw", _reduced_forms_by_full_sieve)
+    assert got == documents()
+
+
 def test_prime_forms_are_the_non_inert_primes_up_to_the_bound():
     for D in (5, 8, 12, 1365, 10920, 400000001):
         s = math.isqrt(D)
@@ -353,10 +400,10 @@ def test_prime_forms_are_the_non_inert_primes_up_to_the_bound():
 
 
 def test_oracle_never_grows_the_sweep_sieve(monkeypatch):
-    # the oracle's sieve needs sqrt(D) entries; the sweep's own sieve of
-    # --max entries must be the largest one built
+    # the oracle's sieve needs sqrt(D) entries and the sweep's window sieve
+    # sqrt(--max), so neither outgrows the sieve's 4096-entry minimum here
     monkeypatch.setattr(arith, "_spf", [])
     class_group_summary.cache_clear()
     argv = ["verify", "--min", "240000", "--max", "240100"]
     assert cli.run(argv, io.StringIO()) == 0
-    assert len(arith._spf) <= 240101
+    assert len(arith._spf) <= 4096
