@@ -9,7 +9,8 @@ any other D walks every reduced form it has.  Equivalence of forms is always
 decided by cycle membership, never by floating-point invariants.
 
 One builder finds the cycles of D; the narrow group, its sign-class quotient
-(the ordinary group) and the summaries are read off it.  All torsion comes
+(the ordinary group) and the summaries are read off it.  A group lists each
+class by its least reduced form, in ascending order.  All torsion comes
 from the chains #A[p^k] of the iterated p-th power map.
 
 A form (a, b, c) of discriminant D = b^2 - 4ac > 0 (nonsquare) is reduced
@@ -25,6 +26,8 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .arith import _xgcd, factorize, primes_upto, spf_table, sqrt_mod_prime
+
+_CACHE_SIZE = 1024  # summaries memoised; a sweep revisits only D = 8
 
 
 class InvalidDiscriminant(ValueError):
@@ -204,7 +207,6 @@ class _Cycles(NamedTuple):
     s: int
     cycle_of: dict  # reduced form -> cycle id, ids in the order found
     reps: list  # cycle id -> smallest form of the cycle
-    lows: list  # cycle id -> the forms of the cycle with the least b
     identity: int  # the principal cycle
     sign: int  # the cycle of forms representing -1
 
@@ -214,12 +216,6 @@ class _Cycles(NamedTuple):
     def power_map(self, p: int) -> list[int]:
         """Cycle id -> cycle id of its p-th power."""
         return [_power(self.mul, i, p) for i in range(len(self.reps))]
-
-    def enumeration_order(self) -> list[int]:
-        """The cycle ids in the order _reduced_forms_raw meets the cycles."""
-        spf = spf_table(self.s + 1)  # |a|, |c| <= s for reduced forms
-        keys = [min(_enumeration_position(f, spf) for f in low) for low in self.lows]
-        return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _power(mul, x: int, n: int) -> int:
@@ -232,21 +228,15 @@ def _power(mul, x: int, n: int) -> int:
     return out
 
 
-def _walk(f, D: int, s: int, cycle_of: dict, reps: list, lows: list) -> int:
-    """Number the rho-cycle of the reduced form f, keeping its smallest form
-    and its forms of least b (where the enumeration meets it first)."""
+def _walk(f, D: int, s: int, cycle_of: dict, reps: list) -> int:
+    """Number the rho-cycle of the reduced form f, keeping its smallest form."""
     cid = len(reps)
     rep = g = f
     a, b, c = f
-    low_b, low = b, []
     while True:
         cycle_of[g] = cid
         if g < rep:
             rep = g
-        if b <= low_b:
-            if b < low_b:
-                low_b, low = b, []
-            low.append(g)
         # _rho of a reduced form: |c| <= s, so r = -b (mod 2|c|) in (s - 2|c|, s]
         r = s - (s + b) % (2 * abs(c))
         a, b, c = c, r, (r * r - D) // (4 * c)
@@ -254,7 +244,6 @@ def _walk(f, D: int, s: int, cycle_of: dict, reps: list, lows: list) -> int:
         if g == f:
             break
     reps.append(rep)
-    lows.append(low)
     return cid
 
 
@@ -292,31 +281,6 @@ def _prime_form(p: int, b: int, D: int, s: int) -> tuple[int, int, int]:
     return p, b, (b * b - D) // (4 * p)
 
 
-def _count_primes(m: int, spf: list[int], counts: dict) -> dict:
-    """Add the prime exponents of m to counts."""
-    while m > 1:
-        p = spf[m]
-        m //= p
-        counts[p] = counts.get(p, 0) + 1
-    return counts
-
-
-def _enumeration_position(f: tuple[int, int, int], spf: list[int]) -> tuple:
-    """Where _reduced_forms_raw lists f: by b, then by the position of |a|
-    in _divisors(|ac|), then a > 0 before a < 0."""
-    a, b, c = f
-    own = _count_primes(abs(a), spf, {})
-    exps = _count_primes(abs(c), spf, dict(own))
-    pos, size = 0, 1
-    for p in sorted(exps):
-        e = exps[p]
-        k = own.get(p, 0)
-        if k:
-            pos = size + pos * e + k - 1
-        size *= e + 1
-    return b, pos, a < 0
-
-
 def _cycles(D: int) -> _Cycles:
     """The rho-cycles of the primitive reduced forms of D, with the
     principal and the sign cycle.
@@ -341,15 +305,14 @@ def _cycles_from(D: int, s: int, seeds, gens) -> _Cycles:
     gens.  Each class the closure adds costs one composition and one walk."""
     cycle_of: dict[tuple[int, int, int], int] = {}
     reps: list[tuple[int, int, int]] = []
-    lows: list[list] = []
 
     def cls(f):
         cid = cycle_of.get(f)
-        return _walk(f, D, s, cycle_of, reps, lows) if cid is None else cid
+        return _walk(f, D, s, cycle_of, reps) if cid is None else cid
 
     for f in seeds:
         if f not in cycle_of and math.gcd(math.gcd(f[0], f[1]), f[2]) == 1:
-            _walk(f, D, s, cycle_of, reps, lows)
+            _walk(f, D, s, cycle_of, reps)
     # the principal form, and -1 times it
     b0 = D & 1
     c0 = (b0 - D) // 4  # b0 * b0 == b0
@@ -369,7 +332,7 @@ def _cycles_from(D: int, s: int, seeds, gens) -> _Cycles:
             y = cls(_compose_raw(reps[y], reps[x], D, s))
         group = group + grown
         in_group.update(grown)
-    return _Cycles(D, s, cycle_of, reps, lows, principal, sign)
+    return _Cycles(D, s, cycle_of, reps, principal, sign)
 
 
 def _torsion_chain(pmap: list[int], p: int, kernel: set[int]) -> tuple[int, ...]:
@@ -443,11 +406,10 @@ class FormClassGroup:
     """The narrow form class group of a real discriminant, or its quotient
     by the sign class (the ordinary group).
 
-    classes holds one canonical reduced representative per group element:
-    the smallest form of the first cycle of its coset that the reduced-form
-    enumeration meets, in the order the enumeration meets the elements.
-    Composition and all structure questions are answered through cycle
-    membership.
+    classes holds each group element once, as the least reduced form of its
+    class (for the ordinary group, the least over both cycles C and C times
+    the sign class), in ascending order.  Composition and all structure
+    questions are answered through cycle membership.
     """
 
     def __init__(self, cycles: _Cycles, quotient: bool):
@@ -455,10 +417,10 @@ class FormClassGroup:
         self._cycles = cycles
         self._kernel = {cycles.identity, cycles.sign} if quotient else {cycles.identity}
         self.variant = "ordinary" if len(self._kernel) == 2 else "narrow"
-        # element position of each cycle; members[pos] = its first cycle
+        # element position of each cycle; members[pos] = its least cycle
         self._pos = [-1] * len(cycles.reps)
         self._members: list[int] = []
-        for cid in cycles.enumeration_order():
+        for cid in sorted(range(len(cycles.reps)), key=cycles.reps.__getitem__):
             if self._pos[cid] < 0:
                 self._pos[cid] = len(self._members)
                 if len(self._kernel) == 2:
@@ -469,7 +431,11 @@ class FormClassGroup:
         self._chains: dict[int, tuple[int, ...]] = {}
 
     def class_index(self, f: IndefiniteForm) -> int:
-        """Element position of the class of f."""
+        """Element position of the class of the primitive form f."""
+        if f.discriminant != self.discriminant:
+            raise DiscriminantMismatch(f"{f} is not of discriminant {self.discriminant}")
+        if math.gcd(math.gcd(f.a, f.b), f.c) != 1:
+            raise ValueError(f"{f} is not primitive")
         return self._pos[self._cycles.cycle_of[tuple(reduce_form(f))]]
 
     @property
@@ -486,14 +452,6 @@ class FormClassGroup:
         cyc = self._cycles
         a, b, c = cyc.reps[self._members[i]]
         return self._pos[cyc.cycle_of[_reduce(a, -b, c, cyc.D, cyc.s)]]
-
-    def element_order(self, i: int) -> int:
-        n = 1
-        j = i
-        while j != self.identity:
-            j = self.mul(j, i)
-            n += 1
-        return n
 
     def torsion_count(self, k: int) -> int:
         """Number of classes x with x^k = identity (through mul and power)."""
@@ -614,15 +572,15 @@ class ClassGroupSummary(NamedTuple):
         return Abelian2Group(tuple(_chain_factors(2, self.two_chain_narrow)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def class_group_summary(D: int) -> ClassGroupSummary:
     """The 2-power torsion chains of the narrow group and its sign-class
     quotient.
 
     One generator closure (about h compositions and one walk of every
-    cycle) plus h compositions for the squaring map per discriminant;
-    cached, since the acceptance sweeps revisit discriminants.  Only the
-    summary is kept, not the cycles.
+    cycle) plus h compositions for the squaring map per discriminant.
+    Only the summary is kept, not the cycles, and only for the last
+    _CACHE_SIZE discriminants.
     """
     cycles = _cycles(D)
     squares = cycles.power_map(2)

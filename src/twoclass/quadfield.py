@@ -24,6 +24,8 @@ from .arith import (
     kronecker,
 )
 
+_CACHE_SIZE = 1024  # units memoised; a sweep revisits only Q(sqrt 2)
+
 
 class SplitType(enum.Enum):
     SPLIT = "split"
@@ -221,7 +223,7 @@ class FundamentalUnit:
     cf_period: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _cf_unit(d: int) -> tuple[Fraction, Fraction, int]:
     """(a, b, period) with the fundamental unit a + b*sqrt(d).
 

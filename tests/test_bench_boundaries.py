@@ -16,3 +16,11 @@ def test_tracer_boundaries_resolve_to_callables():
         module, attr = name.split(".")
         fn = getattr(importlib.import_module(f"twoclass.{module}"), attr, None)
         assert callable(fn), name
+
+
+def test_summary_cache_counters_stay_readable():
+    # the tracer's cache-hit and forms.classes counters read cache_info()
+    from twoclass.forms import class_group_summary
+
+    info = class_group_summary.cache_info()
+    assert info.hits >= 0 and info.misses >= 0

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import random
@@ -5,6 +6,7 @@ import random
 import pytest
 
 import twoclass.arith as arith
+import twoclass.classify as classify
 import twoclass.cli as cli
 import twoclass.forms as oracle
 from twoclass.arith import factorize, squarefree_range
@@ -103,6 +105,15 @@ def test_compose_laws():
         compose(ident, IndefiniteForm(1, 1, -1))
 
 
+def test_class_index_refuses_forms_outside_the_group():
+    with pytest.raises(DiscriminantMismatch):
+        narrow_class_group(40).class_index(IndefiniteForm(1, 1, -1))
+    # (2, 2, -2) is twice the principal form of D = 5
+    for build in (narrow_class_group, ordinary_class_group):
+        with pytest.raises(ValueError, match="not primitive"):
+            build(20).class_index(IndefiniteForm(2, 2, -2))
+
+
 def test_group_axioms_all_discriminants_below_5000():
     # identity, inverses, commutativity and associativity on all class
     # triples; cached composition keeps the triple sweep cheap
@@ -165,7 +176,7 @@ def test_smallest_three_rank_two_discriminant():
     g = narrow_class_group(32009)
     assert g.order == 9
     assert g.structure == (3, 3)
-    assert all(g.element_order(i) in (1, 3) for i in range(g.order))
+    assert all(g.power(i, 3) == g.identity for i in range(g.order))
     assert two_sylow(g).factors == ()
 
 
@@ -292,9 +303,6 @@ def _assert_builders_agree(D):
     assert all(ref.reps[i] == new.reps[j] for i, j in pairs), D
     assert (ref.identity, new.identity) in pairs, D
     assert (ref.sign, new.sign) in pairs, D
-    # the reference numbers cycles as the enumeration meets them, and the
-    # order key reproduces that numbering
-    assert ref.enumeration_order() == list(range(len(ref.reps))), D
     summ = class_group_summary(D)
     assert summ.h_narrow == len(ref.reps), D
     assert summ.sign_is_principal == (ref.sign == ref.identity), D
@@ -307,6 +315,19 @@ def _assert_builders_agree(D):
         assert got.classes == want.classes, (D, quotient)
         assert got.structure == want.structure, (D, quotient)
         assert chain == want.torsion_chain(2), (D, quotient)
+
+
+def test_classes_are_the_least_reduced_form_of_each_class_ascending():
+    for D in valid_discriminants(3000):
+        primitive = [f for f in reduced_forms(D) if math.gcd(*f) == 1]
+        for g in (narrow_class_group(D), ordinary_class_group(D)):
+            assert all(x < y for x, y in zip(g.classes, g.classes[1:])), (D, g.variant)
+            # reduced_forms is ascending, so each class meets its least form
+            # first; for --ordinary a class spans both cycles C and C sigma
+            least = {}
+            for f in primitive:
+                least.setdefault(g.class_index(f), f)
+            assert g.classes == tuple(least[i] for i in range(g.order)), (D, g.variant)
 
 
 @pytest.mark.parametrize("D", [5, 8, 12, 13, 17, 21, 24])
@@ -397,6 +418,22 @@ def test_prime_forms_are_the_non_inert_primes_up_to_the_bound():
             assert b * b - 4 * p * c == D, (D, p)
             if 4 * p * p < D and b > 0:
                 assert oracle._is_reduced(p, b, c, D, s), (D, p)
+
+
+def test_bounded_summary_cache_leaves_the_verify_document_unchanged(monkeypatch):
+    argv = ["verify", "--max", "6000"]
+    class_group_summary.cache_clear()
+    bounded = io.StringIO()
+    assert cli.run(argv, bounded) == 0
+    info = class_group_summary.cache_info()
+    assert info.maxsize == oracle._CACHE_SIZE
+    assert info.currsize <= 1024 < info.misses
+    unbounded = functools.lru_cache(maxsize=None)(class_group_summary.__wrapped__)
+    monkeypatch.setattr(classify, "class_group_summary", unbounded)
+    reference = io.StringIO()
+    assert cli.run(argv, reference) == 0
+    assert unbounded.cache_info().currsize > 1024
+    assert bounded.getvalue() == reference.getvalue()
 
 
 def test_oracle_never_grows_the_sweep_sieve(monkeypatch):
