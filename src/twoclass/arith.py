@@ -12,7 +12,8 @@ first twelve primes below 2**64 (Sorenson-Webster); the last 1024 answers
 beyond the sieve are memoised.  Sweeps factor their window with a
 segmented sieve (`squarefree_range`): only the primes up to the square root
 of the window's end are tabulated, and each block of the window is sieved
-by them in turn.
+by them in turn.  The window may be an arithmetic progression, so a sweep
+over odd d never factors, nor tests the primality of, an even one.
 """
 
 from __future__ import annotations
@@ -231,35 +232,55 @@ def as_factored(d) -> FactoredSquarefree:
 _BLOCK = 1 << 14
 
 
-def squarefree_range(lo: int, hi: int):
-    """Yield FactoredSquarefree for every square-free d with lo <= d < hi.
+def _hits(n0: int, step: int, m: int):
+    """(offset, stride) of the i >= 0 with m | n0 + i*step, or None."""
+    g = math.gcd(step, m)
+    if n0 % g:
+        return None
+    m //= g
+    return -(n0 // g) * pow(step // g, -1, m) % m, m
 
-    A segmented sieve: [lo, hi) is sieved in blocks of _BLOCK integers by
-    the primes p <= isqrt(hi - 1), read off a sieve of that length.  A
-    block strikes the multiples of each p^2 and lists each p at its
-    multiples.  What is left of a square-free d after its listed primes is
-    1 or a single prime above isqrt(hi - 1): two such primes would multiply
-    to more than hi - 1.  Every prime still passes FactoredSquarefree's
-    is_prime check.
+
+def squarefree_range(lo: int, hi: int, step: int = 1):
+    """Yield FactoredSquarefree for every square-free d >= 1 of
+    range(lo, hi, step), step >= 1.
+
+    A segmented sieve: the progression is sieved in blocks of _BLOCK terms
+    by the primes p <= isqrt(hi - 1), read off a sieve of that length.  A
+    block strikes the terms divisible by each p^2 and lists each p at the
+    terms it divides; both are arithmetic progressions in the block, found
+    by solving the linear congruence.  What is left of a square-free d
+    after its listed primes is 1 or a single prime above isqrt(hi - 1): two
+    such primes would multiply to more than hi - 1.  Every prime still
+    passes FactoredSquarefree's is_prime check, so step = 2 spares the
+    primality tests of the other parity.
     """
-    lo = max(lo, 1)
-    if hi <= lo:
+    if step < 1:
+        raise ValueError("squarefree_range needs step >= 1")
+    if lo < 1:
+        lo -= (lo - 1) // step * step
+    count = len(range(lo, hi, step))
+    if not count:
         return
     primes = primes_upto(math.isqrt(hi - 1))
-    for start in range(lo, hi, _BLOCK):
-        size = min(_BLOCK, hi - start)
+    for first in range(0, count, _BLOCK):
+        n0 = lo + first * step
+        size = min(_BLOCK, count - first)
         free = bytearray(b"\x01") * size
         listed: list[list[int]] = [[] for _ in range(size)]
         for p in primes:
-            for i in range(-start % p, size, p):
-                listed[i].append(p)
-            q = p * p
-            off = -start % q
-            if off < size:
+            hit = _hits(n0, step, p)
+            if hit is not None:
+                off, stride = hit
+                for i in range(off, size, stride):
+                    listed[i].append(p)
+            hit = _hits(n0, step, p * p)
+            if hit is not None and hit[0] < size:
+                off, q = hit
                 free[off::q] = bytes(len(range(off, size, q)))
         for i, ps in enumerate(listed):
             if free[i]:
-                n = start + i
+                n = n0 + i * step
                 rest = n // math.prod(ps)
                 if rest > 1:
                     ps.append(rest)

@@ -3,7 +3,11 @@ fundamental units by continued fractions, exact squareness tests, and the
 local-norm test for -1.
 
 Units are computed from the periodic continued fraction of sqrt(d), or of
-(1 + sqrt(d))/2 when d = 1 (mod 4), over exact integers.  Every element is
+(1 + sqrt(d))/2 when d = 1 (mod 4), over exact integers.  Half the period
+decides the unit: the period of the reduced tail is a palindrome followed by
+2*a0 (2*a0 - 1 for (1 + sqrt(d))/2), and its centre is the first step where
+P or Q of the (P, Q) recurrence repeats (Jacobson and Williams, Solving the
+Pell Equation, Springer 2009, ch. 3).  Every element is
 carried as a pair of rationals, so squareness and sign questions are decided
 without floating point.  relative_mul, relative_sign and relative_sqrt are
 the one product, sign and square root of a + b*sqrt(d) over an exact ordered
@@ -228,9 +232,15 @@ def _cf_unit(d: int) -> tuple[Fraction, Fraction, int]:
     """(a, b, period) with the fundamental unit a + b*sqrt(d).
 
     Expands xi0 = (1 + sqrt(d))/2 for d = 1 (mod 4), else sqrt(d), via the
-    integer (P, Q) recurrence.  The tail xi1 is a reduced quadratic
-    irrational, hence purely periodic; going once around its cycle gives the
-    matrix whose bottom row yields the unit C*xi1 + D of norm (-1)**period.
+    integer recurrence xi_k = (P_k + sqrt(d))/Q_k.  The tail xi1 is reduced,
+    hence purely periodic, with period a_1, ..., a_l where a_1 .. a_(l-1) is
+    a palindrome and a_l = 2*a0 (2*a0 - 1 for (1 + sqrt(d))/2).  So the walk
+    stops at the centre: the first k with P_(k+1) = P_k (l = 2k) or
+    Q_(k+1) = Q_k (l = 2k + 1; Q_1 = Q_0 is l = 1).  With N the product of
+    the partial-quotient matrices A(a) = [[a, 1], [1, 0]] before the centre,
+    the period matrix is N*A(a_k)*N^T or N*N^T, times A(a_l); its bottom
+    row (C, D) gives the unit C*xi1 + D of norm (-1)**l (Jacobson and
+    Williams, Solving the Pell Equation, Springer 2009, ch. 3).
     """
     s = math.isqrt(d)
     if d % 4 == 1:
@@ -240,28 +250,35 @@ def _cf_unit(d: int) -> tuple[Fraction, Fraction, int]:
     a0 = (P0 + s) // Q0
     P1 = a0 * Q0 - P0
     Q1 = (d - P1 * P1) // Q0
+    # N = [[n11, n12], [n21, n22]] is the product before the centre, and
+    # (s21, s22) the bottom row of the symmetric N*A(a_k)*N^T or N*N^T
+    n11, n12, n21, n22 = 1, 0, 0, 1
+    s21, s22, period = 0, 1, 1  # Q1 = Q0: xi1 = xi0 + a0, period a_l alone
     P, Q = P1, Q1
-    mat_a, mat_b, mat_c, mat_d = 1, 0, 0, 1
-    period = 0
-    while True:
+    k = 0
+    while Q1 != Q0:
+        k += 1
         a = (P + s) // Q
-        mat_a, mat_b, mat_c, mat_d = (
-            mat_a * a + mat_b,
-            mat_a,
-            mat_c * a + mat_d,
-            mat_c,
-        )
-        period += 1
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        if (P, Q) == (P1, Q1):
+        P_next = a * Q - P
+        if P_next == P:
+            s21 = a * n21 * n11 + n21 * n12 + n22 * n11
+            s22 = a * n21 * n21 + 2 * n21 * n22
+            period = 2 * k
             break
+        n11, n12, n21, n22 = n11 * a + n12, n11, n21 * a + n22, n21
+        Q_next = (d - P_next * P_next) // Q
+        if Q_next == Q:
+            s21 = n21 * n11 + n22 * n12
+            s22 = n21 * n21 + n22 * n22
+            period = 2 * k + 1
+            break
+        P, Q = P_next, Q_next
+    last = 2 * a0 - 1 if Q0 == 2 else 2 * a0
+    C, D = s21 * last + s22, s21
     # unit = C*xi1 + D with xi1 = (P1 + sqrt(d))/Q1
-    ua = Fraction(mat_c * P1 + mat_d * Q1, Q1)
-    ub = Fraction(mat_c, Q1)
-    nrm = ua * ua - d * ub * ub
-    assert nrm == (-1) ** period, (d, ua, ub, period)
-    return ua, ub, period
+    num = C * P1 + D * Q1
+    assert num * num - d * C * C == (-1) ** period * Q1 * Q1, (d, period)
+    return Fraction(num, Q1), Fraction(C, Q1), period
 
 
 def fundamental_unit(field) -> FundamentalUnit:

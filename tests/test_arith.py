@@ -117,9 +117,11 @@ def test_squarefree_range():
         assert math.prod(fs.primes) == fs.value
 
 
-def _factored_window(lo, hi):
+def _factored_window(lo, hi, step=1):
     out = []
-    for n in range(max(lo, 1), hi):
+    for n in range(lo, hi, step):
+        if n < 1:
+            continue
         try:
             out.append(factor_squarefree(n))
         except NotSquarefree:
@@ -145,6 +147,30 @@ def test_squarefree_range_windows_against_factor_squarefree(monkeypatch):
     for w in windows:
         assert list(squarefree_range(*w)) == expected[w], w
     assert len(arith._spf) <= 4096
+
+
+def test_squarefree_range_steps_against_factor_squarefree(monkeypatch):
+    # step 2 is the sweeps' odd d; larger steps share primes with the step
+    # (p | step, p^2 | step) or not, and the last window crosses a block
+    windows = [
+        (1, 300, 2),
+        (0, 300, 2),
+        (-7, 300, 3),
+        (4, 300, 2),
+        (1017901, 1018300, 2),
+        (9, 3000, 9),
+        (3, 3000, 12),
+        (7, 5000, 50),
+        (999001, 999001 + 2 * arith._BLOCK + 1000, 2),
+    ]
+    arith.spf_table(1040000)
+    expected = {w: _factored_window(*w) for w in windows}
+    monkeypatch.setattr(arith, "_spf", [])
+    for w in windows:
+        assert list(squarefree_range(*w)) == expected[w], w
+    assert [fs.value for fs in squarefree_range(1, 20, 2)] == [1, 3, 5, 7, 11, 13, 15, 17, 19]
+    with pytest.raises(ValueError):
+        list(squarefree_range(1, 20, 0))
 
 
 def test_kronecker_examples():

@@ -97,7 +97,8 @@ def test_enumerate_sieves_only_the_window(monkeypatch):
     assert cli.run(argv, io.StringIO()) == 0
     assert len(arith._spf) <= 4096
     tests = arith._is_prime_beyond_sieve.cache_info()
-    assert tests.misses <= sum(1 for _ in squarefree_range(1000000, 1002000))
+    # one test at most per odd square-free d: the even d are never factored
+    assert tests.misses <= sum(1 for _ in squarefree_range(1000001, 1002000, 2))
     assert tests.hits > tests.misses
 
 
@@ -114,6 +115,26 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_parser_and_imports_nothing_new():
+    # the parser is built by the first run(), not at import; importing the
+    # CLI loads no module beyond what its own imports load
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "import argparse, csv, functools, itertools, json; "
+        "import twoclass.arith, twoclass.classify, twoclass.forms; "
+        "import twoclass.quadfield, twoclass.redei; "
+        "before = set(sys.modules); import twoclass.cli as cli; "
+        "print(sorted(set(sys.modules) - before), "
+        "cli._build_parser.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "['twoclass.cli'] 0"
 
 
 def test_enumerate_shape_filter():

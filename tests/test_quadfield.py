@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from twoclass.arith import NotSquarefree, squarefree_range
+from twoclass.arith import NotSquarefree, factor_squarefree, squarefree_range
 from twoclass.quadfield import (
+    _cf_unit,
     QuadInteger,
     SplitType,
     discriminant,
@@ -85,6 +86,72 @@ def test_units_match_brute_force():
         else:
             assert (fu.value.a, fu.value.b) == bf, fs.value
         assert fu.value.norm() == fu.norm == (-1) ** fu.cf_period
+
+
+def full_period_unit(d):
+    """The reference for _cf_unit: (a, b, period) from once round the whole
+    period of xi1, multiplying every partial-quotient matrix in turn."""
+    s = math.isqrt(d)
+    P0, Q0 = (1, 2) if d % 4 == 1 else (0, 1)
+    a0 = (P0 + s) // Q0
+    P1 = a0 * Q0 - P0
+    Q1 = (d - P1 * P1) // Q0
+    P, Q = P1, Q1
+    mat_c, mat_d = 0, 1
+    period = 0
+    while True:
+        a = (P + s) // Q
+        mat_c, mat_d = mat_c * a + mat_d, mat_c
+        period += 1
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if (P, Q) == (P1, Q1):
+            return Fraction(mat_c * P1 + mat_d * Q1, Q1), Fraction(mat_c, Q1), period
+
+
+def assert_half_period_unit(d):
+    got = _cf_unit.__wrapped__(d)  # unmemoised
+    want = full_period_unit(d)
+    # compare the integers, not their decimal strings
+    assert [(x.numerator, x.denominator) for x in got[:2]] == [
+        (x.numerator, x.denominator) for x in want[:2]
+    ], d
+    assert got[2] == want[2], d
+
+
+def test_half_period_unit_on_periods_one_and_two():
+    # d = 2, 5 and 13 have period 1; d = 3 and 6 have period 2
+    for d, period in ((2, 1), (3, 2), (5, 1), (6, 2), (13, 1)):
+        assert_half_period_unit(d)
+        assert _cf_unit(d)[2] == period
+
+
+def test_half_period_unit_against_the_full_period_below_30000():
+    seen = set()
+    for fs in squarefree_range(2, 30000):
+        assert_half_period_unit(fs.value)
+        seen.add((fs.value % 4 == 1, _cf_unit.__wrapped__(fs.value)[2] % 2))
+    # both expansions xi0, with even and odd periods in each
+    assert seen == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+
+def test_half_period_unit_against_the_full_period_on_large_d():
+    rng = random.Random(2009)
+    done = 0
+    while done < 200:
+        d = rng.randrange(10**6, 10**9)
+        try:
+            factor_squarefree(d)
+        except NotSquarefree:
+            continue
+        assert_half_period_unit(d)
+        done += 1
+
+
+def test_half_period_unit_with_more_than_4300_digits():
+    d = 40000159
+    assert_half_period_unit(d)
+    assert _cf_unit.__wrapped__(d)[0].numerator.bit_length() > 4300 * math.log2(10)
 
 
 def test_unit_norms():
