@@ -14,13 +14,15 @@ mism = 0
 for fs in squarefree_range(2, 300):
     D = fs.value if fs.value % 4 == 1 else 4 * fs.value
     summ = class_group_summary(D)
+    # #A+[2] = 2^rank and #(2A+/4A+) = #A+[4]/#A+[2] = 2^four_rank
+    a2, a4_over_a2 = 2**summ.narrow.rank, 2**summ.narrow.four_rank
     s1 = len(s1_decompositions(D))
     s2 = len(s2_decompositions(D))
-    flag = "" if (s1, s2) == (summ.two_torsion_narrow, summ.s2_count) else "  <- MISMATCH"
+    flag = "" if (s1, s2) == (a2, a4_over_a2) else "  <- MISMATCH"
     mism += bool(flag)
     print(
-        f"{D:>6} {s1:>4} {summ.two_torsion_narrow:>7} {s2:>4}"
-        f" {summ.s2_count:>14} {summ.h_narrow:>4}{flag}"
+        f"{D:>6} {s1:>4} {a2:>7} {s2:>4}"
+        f" {a4_over_a2:>14} {summ.h_narrow:>4}{flag}"
     )
 print()
 print("mismatches:", mism)
@@ -29,9 +31,9 @@ print("mismatches:", mism)
 bad = []
 for fs in squarefree_range(300, 3000):
     D = fs.value if fs.value % 4 == 1 else 4 * fs.value
-    summ = class_group_summary(D)
-    if len(s1_decompositions(D)) != summ.two_torsion_narrow:
+    narrow = class_group_summary(D).narrow
+    if len(s1_decompositions(D)) != 2**narrow.rank:
         bad.append(D)
-    if len(s2_decompositions(D)) != summ.s2_count:
+    if len(s2_decompositions(D)) != 2**narrow.four_rank:
         bad.append(D)
 print("exceptions in 300 <= d < 3000:", bad)

@@ -236,6 +236,24 @@ def _legendre_lookup(labels: tuple[int, ...]) -> Callable[[int, int], int]:
     return L
 
 
+def _first_match(
+    fs: FactoredSquarefree, residues: tuple[int, ...], conditions
+) -> Optional[ConditionMatch]:
+    """The first condition, in order, that holds under some labeling of
+    fs.primes with the given residues mod 8; labelings are tried in the
+    order of itertools.permutations."""
+    labelings = [
+        labels
+        for labels in itertools.permutations(fs.primes)
+        if tuple(p % 8 for p in labels) == residues
+    ]
+    for idx, cond in enumerate(conditions, start=1):
+        for labels in labelings:
+            if cond(_legendre_lookup(labels)):
+                return ConditionMatch(idx, labels)
+    return None
+
+
 def structure_condition_ppqq(d) -> Optional[ConditionMatch]:
     """First matched condition (1..3) for d = p1 p2 q1 q2, (5,5,7,3) mod 8.
 
@@ -243,18 +261,9 @@ def structure_condition_ppqq(d) -> Optional[ConditionMatch]:
     A(K1) = Z/2 + Z/4 together.  The two p-labels are tried in both orders.
     """
     fs = as_factored(d)
-    res = sorted(p % 8 for p in fs.primes)
-    if len(fs.primes) != 4 or res != [3, 5, 5, 7]:
+    if sorted(p % 8 for p in fs.primes) != [3, 5, 5, 7]:
         raise WrongShape(f"{fs.value} is not p1*p2*q1*q2 with (5,5,7,3) mod 8")
-    ps = [p for p in fs.primes if p % 8 == 5]
-    q1 = next(p for p in fs.primes if p % 8 == 7)
-    q2 = next(p for p in fs.primes if p % 8 == 3)
-    for idx, cond in enumerate(_PPQQ_CONDITIONS, start=1):
-        for p1, p2 in (ps, ps[::-1]):
-            labels = (p1, p2, q1, q2)
-            if cond(_legendre_lookup(labels)):
-                return ConditionMatch(idx, labels)
-    return None
+    return _first_match(fs, (5, 5, 7, 3), _PPQQ_CONDITIONS)
 
 
 def structure_condition_qqqq(d) -> Optional[ConditionMatch]:
@@ -265,17 +274,9 @@ def structure_condition_qqqq(d) -> Optional[ConditionMatch]:
     (mod 8) are tried in all orders.
     """
     fs = as_factored(d)
-    res = sorted(p % 8 for p in fs.primes)
-    if len(fs.primes) != 4 or res != [3, 3, 3, 7]:
+    if sorted(p % 8 for p in fs.primes) != [3, 3, 3, 7]:
         raise WrongShape(f"{fs.value} is not q1*q2*q3*q4 with (7,3,3,3) mod 8")
-    q1 = next(p for p in fs.primes if p % 8 == 7)
-    rest = [p for p in fs.primes if p % 8 == 3]
-    for idx, cond in enumerate(_QQQQ_CONDITIONS, start=1):
-        for perm in itertools.permutations(rest):
-            labels = (q1,) + perm
-            if cond(_legendre_lookup(labels)):
-                return ConditionMatch(idx, labels)
-    return None
+    return _first_match(fs, (7, 3, 3, 3), _QQQQ_CONDITIONS)
 
 
 # --- prime tuple search (progression scans) ---------------------------------
@@ -476,6 +477,11 @@ def spec_for_qqqq_condition(condition: int) -> SymbolSpec:
 # --- prediction reports -----------------------------------------------------
 
 
+def _json_value(v):
+    """A claimed or observed value as JSON: a 2-group is its factor list."""
+    return list(v.factors) if isinstance(v, Abelian2Group) else v
+
+
 @dataclass(frozen=True)
 class Claim:
     value: object
@@ -483,10 +489,11 @@ class Claim:
     direction: str = "computed"  # "computed" | "iff" | "if"
 
     def to_json(self):
-        v = self.value
-        if isinstance(v, Abelian2Group):
-            v = list(v.factors)
-        return {"value": v, "source": self.source, "direction": self.direction}
+        return {
+            "value": _json_value(self.value),
+            "source": self.source,
+            "direction": self.direction,
+        }
 
 
 @dataclass(frozen=True)
@@ -653,16 +660,16 @@ class OracleCheck:
     name: str
     predicted: object
     observed: object
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.predicted == self.observed
 
     def to_json(self):
-        def enc(v):
-            return list(v.factors) if isinstance(v, Abelian2Group) else v
-
         return {
             "name": self.name,
-            "predicted": enc(self.predicted),
-            "observed": enc(self.observed),
+            "predicted": _json_value(self.predicted),
+            "observed": _json_value(self.observed),
             "ok": self.ok,
         }
 
@@ -694,8 +701,8 @@ def _kuroda_order_K1(fs, sK, sKp) -> int:
     """#A(K1) from the Hasse unit index and the oracle's 2-parts of
     A(K), A(K') and A(Q(sqrt(2)))."""
     Q = hasse_unit_index(biquad_field(fs))
-    h2 = class_group_summary(8).two_part()
-    return kuroda_order(Q, sK.two_part(), sKp.two_part(), h2)
+    h2 = class_group_summary(8).ordinary.order
+    return kuroda_order(Q, sK.ordinary.order, sKp.ordinary.order, h2)
 
 
 def verify_against_oracle(
@@ -717,65 +724,31 @@ def verify_against_oracle(
         )
     sK = class_group_summary(D)
     sKp = class_group_summary(Dprime)
-    narrow_rank = narrow_genus_rank(fs)
     checks = [
-        OracleCheck(
-            "rank A(K)",
-            report.rank_K.value,
-            sK.ordinary_two_rank,
-            report.rank_K.value == sK.ordinary_two_rank,
-        ),
-        OracleCheck(
-            "rank A+(K)",
-            narrow_rank,
-            sK.narrow_two_rank,
-            narrow_rank == sK.narrow_two_rank,
-        ),
-        OracleCheck(
-            "rank A(K')",
-            report.rank_Kprime.value,
-            sKp.ordinary_two_rank,
-            report.rank_Kprime.value == sKp.ordinary_two_rank,
-        ),
+        OracleCheck("rank A(K)", report.rank_K.value, sK.ordinary.rank),
+        OracleCheck("rank A+(K)", narrow_genus_rank(fs), sK.narrow.rank),
+        OracleCheck("rank A(K')", report.rank_Kprime.value, sKp.ordinary.rank),
     ]
     if report.structure_K is not None:
-        observed = sK.two_sylow()
         checks.append(
-            OracleCheck(
-                "structure A(K)",
-                report.structure_K.value,
-                observed,
-                observed == report.structure_K.value,
-            )
+            OracleCheck("structure A(K)", report.structure_K.value, sK.ordinary)
         )
     if report.structure_Kprime is not None:
-        observed = sKp.two_sylow()
         checks.append(
-            OracleCheck(
-                "structure A(K')",
-                report.structure_Kprime.value,
-                observed,
-                observed == report.structure_Kprime.value,
-            )
+            OracleCheck("structure A(K')", report.structure_Kprime.value, sKp.ordinary)
         )
     if report.structure_K1 is not None:
         order = _kuroda_order_K1(fs, sK, sKp)
-        predicted_order = report.structure_K1.value.order
         checks.append(
             OracleCheck(
-                "order A(K1) via Kuroda",
-                predicted_order,
-                order,
-                order == predicted_order,
+                "order A(K1) via Kuroda", report.structure_K1.value.order, order
             )
         )
-        derived = structure_from_rank_and_order(report.rank_K1.value, order)
         checks.append(
             OracleCheck(
                 "structure A(K1) from rank and Kuroda order",
                 report.structure_K1.value,
-                derived,
-                derived == report.structure_K1.value,
+                structure_from_rank_and_order(report.rank_K1.value, order),
             )
         )
     findings: list[str] = []
@@ -788,16 +761,9 @@ def verify_against_oracle(
         # condition matched the structures should not all hold; they
         # sometimes do (d = 3045 is the smallest case), which is reported
         # as a finding rather than silently passed or failed
-        conjunction = (
-            sK.ordinary_two_rank == 2
-            and sK.ordinary_elementary
-            and sK.two_part() == 4
-            and sKp.ordinary_two_rank == 3
-            and sKp.ordinary_elementary
-            and sKp.two_part() == 8
-        )
         if (
-            conjunction
+            sK.ordinary == Abelian2Group((2, 2))
+            and sKp.ordinary == Abelian2Group((2, 2, 2))
             and report.rank_K1.value == 2
             and _kuroda_order_K1(fs, sK, sKp) == 8
         ):

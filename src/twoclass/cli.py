@@ -42,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of the limits and the thread count."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+    return value
+
+
 def _document(command: str, inputs: dict, results, mismatches=()) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -167,8 +178,6 @@ def _sweep_rows(args, do_verify: bool, shape: str | None = None) -> list[dict]:
     """Rows for every odd square-free d in [--min, --max) of the given shape."""
     if args.max <= args.min:
         raise UsageError("--max must exceed --min")
-    if args.threads < 1:
-        raise UsageError("--threads must be at least 1")
     # lazily: each field is predicted while the primality answers for its
     # primes are fresh in arith's memo, and no sweep holds all its fields
     ds = squarefree_range(max(args.min, 3) | 1, args.max, 2)
@@ -322,7 +331,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("classify", help="prediction report for one odd square-free d")
     p.add_argument("d", type=int)
     p.add_argument("--verify", action="store_true", help="replay against the oracle")
-    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+    p.add_argument("--oracle-limit", type=_positive_int, default=DEFAULT_ORACLE_LIMIT)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("enumerate", help="sweep odd square-free d in a range")
@@ -331,8 +340,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--shape", help='pattern filter such as "p,p,q,q"')
     p.add_argument("--csv", action="store_true")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--oracle-limit", type=_positive_int, default=DEFAULT_ORACLE_LIMIT)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("find-primes", help="prime tuple with prescribed symbols")
@@ -340,14 +349,14 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--symbols", default="", help='semicolon list "k,j=1" or "k,j=-1" (j < k)'
     )
-    p.add_argument("--bound", type=int, default=10**6)
+    p.add_argument("--bound", type=_positive_int, default=10**6)
     p.set_defaults(func=_cmd_find_primes)
 
     p = sub.add_parser("verify", help="oracle-verify predictions over a range")
     p.add_argument("--min", type=int, default=3)
     p.add_argument("--max", type=int, default=20000)
-    p.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--oracle-limit", type=_positive_int, default=DEFAULT_ORACLE_LIMIT)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("unit", help="fundamental unit of Q(sqrt(d))")

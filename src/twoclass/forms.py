@@ -393,6 +393,11 @@ class Abelian2Group:
     def order(self) -> int:
         return math.prod(self.factors)
 
+    @property
+    def four_rank(self) -> int:
+        """The number of factors >= 4: #(2A/4A) = 2**four_rank."""
+        return sum(f >= 4 for f in self.factors)
+
     def is_elementary(self) -> bool:
         return all(f == 2 for f in self.factors)
 
@@ -500,9 +505,14 @@ def ordinary_class_group(D: int) -> FormClassGroup:
     return FormClassGroup(_cycles(D), quotient=True)
 
 
+def _two_group(chain: tuple[int, ...]) -> Abelian2Group:
+    """The 2-group with #A[2^k] = chain[k]."""
+    return Abelian2Group(tuple(_chain_factors(2, chain)))
+
+
 def two_sylow(g: FormClassGroup) -> Abelian2Group:
     """The 2-Sylow subgroup of a class group, as invariant factors."""
-    return Abelian2Group(tuple(_chain_factors(2, g.torsion_chain(2))))
+    return _two_group(g.torsion_chain(2))
 
 
 # --- lean per-discriminant summary for the verification sweeps ------------
@@ -511,71 +521,15 @@ def two_sylow(g: FormClassGroup) -> Abelian2Group:
 class ClassGroupSummary(NamedTuple):
     discriminant: int
     h_narrow: int
-    sign_is_principal: bool
-    two_chain_narrow: tuple[int, ...]  # #A+[2^k], k = 0, 1, ... to the 2-part
-    two_chain_ordinary: tuple[int, ...]  # #A[2^k] likewise
-
-    @staticmethod
-    def _at(chain: tuple[int, ...], k: int) -> int:
-        return chain[min(k, len(chain) - 1)]
-
-    @property
-    def h_ordinary(self) -> int:
-        return self.h_narrow if self.sign_is_principal else self.h_narrow // 2
-
-    @property
-    def two_torsion_narrow(self) -> int:  # classes c with c^2 = 1
-        return self._at(self.two_chain_narrow, 1)
-
-    @property
-    def four_torsion_narrow(self) -> int:  # classes c with c^4 = 1
-        return self._at(self.two_chain_narrow, 2)
-
-    @property
-    def two_torsion_ordinary(self) -> int:
-        return self._at(self.two_chain_ordinary, 1)
-
-    @property
-    def four_torsion_ordinary(self) -> int:
-        return self._at(self.two_chain_ordinary, 2)
-
-    @property
-    def narrow_two_rank(self) -> int:
-        return self.two_torsion_narrow.bit_length() - 1
-
-    @property
-    def ordinary_two_rank(self) -> int:
-        return self.two_torsion_ordinary.bit_length() - 1
-
-    @property
-    def s2_count(self) -> int:
-        """#(2A+/4A+) = #A+[4] / #A+[2]."""
-        return self.four_torsion_narrow // self.two_torsion_narrow
-
-    @property
-    def narrow_elementary(self) -> bool:
-        return self.four_torsion_narrow == self.two_torsion_narrow
-
-    @property
-    def ordinary_elementary(self) -> bool:
-        return self.four_torsion_ordinary == self.two_torsion_ordinary
-
-    def two_part(self, variant: str = "ordinary") -> int:
-        """Order of the 2-Sylow subgroup (largest 2-power dividing h)."""
-        h = self.h_ordinary if variant == "ordinary" else self.h_narrow
-        return h & -h
-
-    def two_sylow(self, variant: str = "ordinary") -> Abelian2Group:
-        """The 2-Sylow subgroup, as invariant factors."""
-        if variant == "ordinary":
-            return Abelian2Group(tuple(_chain_factors(2, self.two_chain_ordinary)))
-        return Abelian2Group(tuple(_chain_factors(2, self.two_chain_narrow)))
+    h_ordinary: int
+    narrow: Abelian2Group  # the 2-Sylow subgroup of A+
+    ordinary: Abelian2Group  # the 2-Sylow subgroup of A = A+ / <sign>
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def class_group_summary(D: int) -> ClassGroupSummary:
-    """The 2-power torsion chains of the narrow group and its sign-class
-    quotient.
+    """The class numbers and 2-Sylow subgroups of the narrow group and its
+    sign-class quotient.
 
     One generator closure (about h compositions and one walk of every
     cycle) plus h compositions for the squaring map per discriminant.
@@ -584,10 +538,12 @@ def class_group_summary(D: int) -> ClassGroupSummary:
     """
     cycles = _cycles(D)
     squares = cycles.power_map(2)
+    h_narrow = len(cycles.reps)
+    kernel = {cycles.identity, cycles.sign}
     return ClassGroupSummary(
         D,
-        len(cycles.reps),
-        cycles.sign == cycles.identity,
-        _torsion_chain(squares, 2, {cycles.identity}),
-        _torsion_chain(squares, 2, {cycles.identity, cycles.sign}),
+        h_narrow,
+        h_narrow // len(kernel),
+        _two_group(_torsion_chain(squares, 2, {cycles.identity})),
+        _two_group(_torsion_chain(squares, 2, kernel)),
     )

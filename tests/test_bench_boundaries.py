@@ -19,8 +19,10 @@ def test_tracer_boundaries_resolve_to_callables():
 
 
 def test_summary_cache_counters_stay_readable():
-    # the tracer's cache-hit and forms.classes counters read cache_info()
-    from twoclass.forms import class_group_summary
+    # the tracer's cache-hit and forms.classes counters read cache_info(),
+    # and forms.classes adds up the h_narrow of every summary computed
+    from twoclass.forms import class_group_summary, narrow_class_group
 
     info = class_group_summary.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+    assert class_group_summary(10920).h_narrow == narrow_class_group(10920).order

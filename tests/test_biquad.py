@@ -191,8 +191,8 @@ def test_hasse_index_1885():
     field = biquad_field(1885)
     Q = hasse_unit_index(field)
     assert Q in (1, 2, 4, 8)
-    hK = class_group_summary(1885).two_part()
-    hKp = class_group_summary(8 * 1885).two_part()
+    hK = class_group_summary(1885).ordinary.order
+    hKp = class_group_summary(8 * 1885).ordinary.order
     order = kuroda_order(Q, hK, hKp, 1)
     assert order >= 2 ** first_layer_rank(1885)
 

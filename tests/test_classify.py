@@ -291,8 +291,8 @@ def test_tension_field_kuroda_consistency():
     Q = hasse_unit_index(biquad_field(7345))
     order = kuroda_order(
         Q,
-        class_group_summary(7345).two_part(),
-        class_group_summary(8 * 7345).two_part(),
+        class_group_summary(7345).ordinary.order,
+        class_group_summary(8 * 7345).ordinary.order,
         1,
     )
     assert order == 8 and order >= 2 ** first_layer_rank(7345)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -266,7 +267,7 @@ def test_verify_surfaces_findings_without_failing():
 
 def _fail_every_check(monkeypatch):
     bad = OracleComparison(
-        15, (OracleCheck("rank A(K)", 1, 2, False),), ()
+        15, (OracleCheck("rank A(K)", 1, 2),), ()
     )
     monkeypatch.setattr(cli, "verify_against_oracle", lambda d, limit: bad)
 
@@ -299,20 +300,64 @@ def test_oracle_range_exit_3():
     assert code == 3
 
 
+GOLDEN_STDOUT = {
+    ("verify", "--max", "4000"): (
+        "c7948d9d35d014d06770ce42ebcd36ab5f3a4c5d5a1bc69d408cad4a84a631e4"
+    ),
+    ("enumerate", "--max", "4000", "--verify", "--csv"): (
+        "9101ea7a5aa53f2593807476fa73806fe622c530c59f5c8f28dff0805865cfcf"
+    ),
+    ("classify", "1365", "--verify"): (
+        "6ab75e9d092ef34222bd708350a3e8907c274de8593ca338381d5989f565ed78"
+    ),
+    # the smallest ppqq-converse finding
+    ("classify", "3045", "--verify"): (
+        "f16d5f4b6b3bdcbe8adbb796e7c444064bf58cbaf8f73552cd4d43f428310d31"
+    ),
+    # qqqq condition 1 with labeling (7, 19, 3, 11)
+    ("classify", "4389", "--verify"): (
+        "b7a49cee4a7f94ec7a36d9a7ef9ec942637fbe265d5cd1deba91de3b779ba70c"
+    ),
+}
+
+
+def test_stdout_is_byte_identical_to_the_golden_documents():
+    # any change to a check, a finding, a claim or the emitters shows here
+    for argv, digest in GOLDEN_STDOUT.items():
+        out = io.StringIO()
+        assert cli.run(list(argv), out) == 0, argv
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
+
+
 def test_sweeps_reject_empty_range_and_bad_threads(capsys):
-    for command in ("verify", "enumerate"):
-        for argv in (
-            [command, "--min", "10", "--max", "5"],
-            [command, "--min", "10", "--max", "10"],
-            [command, "--max", "50", "--threads", "0"],
-            [command, "--max", "50", "--threads", "-2"],
-        ):
-            capsys.readouterr()
-            code, doc, text = run_json(argv)
-            assert code == 1, argv
-            assert doc is None and text == ""
-            err = capsys.readouterr().err
-            assert err.startswith("usage error:") and err.count("\n") == 1, argv
+    bad = [
+        [command, *extra]
+        for command in ("verify", "enumerate")
+        for extra in (
+            ["--min", "10", "--max", "5"],
+            ["--min", "10", "--max", "10"],
+            ["--max", "50", "--threads", "0"],
+            ["--max", "50", "--threads", "-2"],
+        )
+    ]
+    # every limit is a positive int: the oracle limit on all three oracle
+    # commands, and the search bound of find-primes
+    for command in (
+        ["classify", "15"],
+        ["enumerate", "--max", "40"],
+        ["verify", "--max", "40"],
+    ):
+        for limit in ("0", "-3"):
+            bad.append([*command, "--oracle-limit", limit])
+    for bound in ("0", "-4"):
+        bad.append(["find-primes", "--mod8", "5", "--bound", bound])
+    for argv in bad:
+        capsys.readouterr()
+        code, doc, text = run_json(argv)
+        assert code == 1, argv
+        assert doc is None and text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1, argv
 
 
 def test_sweep_predicts_once_per_field(monkeypatch):

@@ -199,7 +199,8 @@ def test_ordinary_vs_narrow_order_relation():
         D = fs.value if fs.value % 4 == 1 else 4 * fs.value
         nm = unit_norm(fs.value)
         narrow = class_group_summary(D)
-        assert narrow.sign_is_principal == (nm == -1), fs.value
+        # the sign class is principal exactly when h+ = h
+        assert (narrow.h_narrow == narrow.h_ordinary) == (nm == -1), fs.value
         if nm == 1:
             assert narrow.h_ordinary * 2 == narrow.h_narrow
         else:
@@ -223,7 +224,9 @@ def test_abelian2group_validation():
         Abelian2Group((4, 2))
     grp = Abelian2Group((2, 4))
     assert grp.rank == 2 and grp.order == 8 and not grp.is_elementary()
-    assert Abelian2Group(()).order == 1
+    assert grp.four_rank == 1
+    assert Abelian2Group((2, 2, 4, 8)).four_rank == 2
+    assert Abelian2Group(()).order == 1 and Abelian2Group(()).four_rank == 0
 
 
 def test_structure_matches_torsion_counts():
@@ -243,11 +246,12 @@ def test_class_group_summary_consistency():
         summ = class_group_summary(D)
         g = narrow_class_group(D)
         assert summ.h_narrow == g.order
-        assert summ.two_torsion_narrow == g.torsion_count(2)
-        assert summ.four_torsion_narrow == g.torsion_count(4)
+        # #A[2] = 2**rank and #A[4] = 2**(rank + four_rank)
+        assert 2**summ.narrow.rank == g.torsion_count(2)
+        assert 2 ** (summ.narrow.rank + summ.narrow.four_rank) == g.torsion_count(4)
         o = ordinary_class_group(D)
         assert summ.h_ordinary == o.order
-        assert summ.two_torsion_ordinary == o.torsion_count(2)
+        assert 2**summ.ordinary.rank == o.torsion_count(2)
 
 
 def test_torsion_chains_against_mul_and_power():
@@ -259,22 +263,20 @@ def test_torsion_chains_against_mul_and_power():
         narrow = narrow_class_group(D)
         ordinary = ordinary_class_group(D)
         assert ordinary.order == summ.h_ordinary, D
-        for g, chain in (
-            (narrow, summ.two_chain_narrow),
-            (ordinary, summ.two_chain_ordinary),
-        ):
+        for g, grp in ((narrow, summ.narrow), (ordinary, summ.ordinary)):
             assert math.prod(g.structure) == g.order, D
             for p, v in factorize(g.order):
                 for k in range(1, v + 1):
                     m = p**k
                     expected = math.prod(math.gcd(f, m) for f in g.structure)
                     assert g.torsion_count(m) == expected, (D, g.variant, m)
-            assert chain[-1] == g.order & -g.order, D
-            for k, count in enumerate(chain):
+            # the summary's 2-group has the 2-part of the order, and its
+            # #A[2^k] are the counts through mul and power
+            assert grp.order == g.order & -g.order, D
+            for k in range(len(g.torsion_chain(2))):
+                count = math.prod(min(f, 2**k) for f in grp.factors)
                 assert count == g.torsion_count(2**k), (D, g.variant, k)
-            assert two_sylow(g) == summ.two_sylow(
-                "narrow" if g is narrow else "ordinary"
-            ), D
+            assert two_sylow(g) == grp, D
 
 
 # --- the generator closure against the full reduced-form enumeration -------
@@ -305,16 +307,17 @@ def _assert_builders_agree(D):
     assert (ref.sign, new.sign) in pairs, D
     summ = class_group_summary(D)
     assert summ.h_narrow == len(ref.reps), D
-    assert summ.sign_is_principal == (ref.sign == ref.identity), D
-    for quotient, build, chain in (
-        (False, narrow_class_group, summ.two_chain_narrow),
-        (True, ordinary_class_group, summ.two_chain_ordinary),
+    assert (summ.h_narrow == summ.h_ordinary) == (ref.sign == ref.identity), D
+    # a 2-chain and its 2-group determine each other
+    for quotient, build, grp in (
+        (False, narrow_class_group, summ.narrow),
+        (True, ordinary_class_group, summ.ordinary),
     ):
         want = oracle.FormClassGroup(ref, quotient)
         got = build(D)
         assert got.classes == want.classes, (D, quotient)
         assert got.structure == want.structure, (D, quotient)
-        assert chain == want.torsion_chain(2), (D, quotient)
+        assert grp == two_sylow(want), (D, quotient)
 
 
 def test_classes_are_the_least_reduced_form_of_each_class_ascending():

@@ -51,7 +51,7 @@ def test_s2_examples():
     # D = 105: direct evaluation of both character conditions
     s2 = s2_decompositions(105)
     summ = class_group_summary(105)
-    assert len(s2) == summ.s2_count
+    assert len(s2) == 2**summ.narrow.four_rank
 
 
 def test_s2_subset_of_s1():
@@ -67,8 +67,8 @@ def test_redei_reichardt_identity_small():
     for fs in squarefree_range(2, 700):
         D = fs.value if fs.value % 4 == 1 else 4 * fs.value
         summ = class_group_summary(D)
-        assert len(s1_decompositions(D)) == summ.two_torsion_narrow, D
-        assert len(s2_decompositions(D)) == summ.s2_count, D
+        assert len(s1_decompositions(D)) == 2**summ.narrow.rank, D
+        assert len(s2_decompositions(D)) == 2**summ.narrow.four_rank, D
 
 
 def test_narrow_two_elementary():
@@ -80,7 +80,7 @@ def test_narrow_two_elementary():
         D = fs.value if fs.value % 4 == 1 else 4 * fs.value
         if not narrow_two_elementary(D):
             found_non_elementary = True
-            assert not class_group_summary(D).narrow_elementary, D
+            assert not class_group_summary(D).narrow.is_elementary(), D
     assert found_non_elementary
 
 
