@@ -3,7 +3,7 @@
 K = Q(sqrt(1365)), K' = Q(sqrt(2730)), K1 = Q(sqrt2, sqrt1365).  Every
 claim printed here is recomputed from scratch: genus theory for the
 2-ranks, Redei-Reichardt counts for 2-elementariness, continued fractions
-for the units, exact square tests for the Hasse index, Kuroda's formula
+for the units, integer parity vectors for the Hasse index, Kuroda's formula
 for #A(K1), and the indefinite-form oracle as the independent referee.
 """
 

@@ -5,8 +5,6 @@ class-group oracle built on indefinite binary quadratic forms."""
 
 from .arith import (
     FactoredSquarefree,
-    ResidueClass,
-    crt,
     factor_squarefree,
     hilbert_symbol,
     is_prime,
@@ -17,11 +15,9 @@ from .arith import (
 )
 from .biquad import (
     BiquadField,
-    BiquadNumber,
     biquad_field,
     first_layer_rank,
     hasse_unit_index,
-    is_square_in_K1,
     kuroda_order,
     ramified_place_count,
     structure_from_rank_and_order,

@@ -1,7 +1,7 @@
 """Exact elementary number theory kernel.
 
 Deterministic primality, square-free factorization, Kronecker symbols,
-Chinese remaindering, local Hilbert symbols and the quartic residue
+modular square roots, local Hilbert symbols and the quartic residue
 obstruction test for 2 modulo primes p = 1 (mod 8).  Everything here is
 integer-exact; there is no floating point anywhere in this module.
 
@@ -29,10 +29,6 @@ class NotSquarefree(ValueError):
 
 class UndefinedSymbol(ValueError):
     """The Kronecker symbol (0/0) has no value."""
-
-
-class NonCoprimeModuli(ValueError):
-    """Two CRT moduli share a common factor."""
 
 
 class WrongResidueClass(ValueError):
@@ -354,20 +350,6 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     return r
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    """residue mod modulus, normalized to 0 <= residue < modulus."""
-
-    residue: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError("modulus must be positive")
-        if not 0 <= self.residue < self.modulus:
-            raise ValueError("residue must satisfy 0 <= r < modulus")
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
     old_r, r = a, b
@@ -381,23 +363,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def crt(congruences: list[ResidueClass]) -> ResidueClass:
-    """Combine congruences with pairwise coprime moduli into a single class."""
-    r, m = 0, 1
-    for cong in congruences:
-        if math.gcd(m, cong.modulus) != 1:
-            raise NonCoprimeModuli(
-                f"modulus {cong.modulus} is not coprime to {m}"
-            )
-        _, inv, _ = _xgcd(m, cong.modulus)
-        # r' = r + m * t with t = (residue - r)/m mod modulus
-        t = (cong.residue - r) * inv % cong.modulus
-        r = r + m * t
-        m *= cong.modulus
-        r %= m
-    return ResidueClass(r, m)
 
 
 def _two_adic_split(n: int) -> tuple[int, int]:

@@ -10,8 +10,10 @@ P or Q of the (P, Q) recurrence repeats (Jacobson and Williams, Solving the
 Pell Equation, Springer 2009, ch. 3).  Every element is
 carried as a pair of rationals, so squareness and sign questions are decided
 without floating point.  relative_mul, relative_sign and relative_sqrt are
-the one product, sign and square root of a + b*sqrt(d) over an exact ordered
-base field: Q(sqrt(d)) over Q here, and K1 over Q(sqrt(2)) in biquad.
+the one product, sign and square root of a + b*sqrt(d); they take the base
+field's sign and square root as arguments, and the base field here is Q.
+The first layer K1 needs none of them: biquad decides its unit squares in
+rational integers (Kubota, Nagoya Math. J. 10, 1956).
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@ chi = kronecker(D, .), Dirichlet's formula gives
 with eps the fundamental unit and h the ordinary class number.  This pins
 the form-cycle oracle AND the continued-fraction unit at once: a wrong
 unit or a miscounted cycle makes the quotient non-integral or wrong.
+For D > 0, chi(D - a) = chi(a) and sin(pi (D - a) / D) = sin(pi a / D), so
+the terms a and D - a are equal: the sum runs over a < D/2 and is doubled
+(a = D/2, for even D, has chi = 0).
 """
 
 import math
@@ -22,7 +25,7 @@ from twoclass.quadfield import fundamental_unit
 def analytic_class_number(D: int, d: int) -> int:
     mp.dps = 40
     total = mpf(0)
-    for a in range(1, D):
+    for a in range(1, (D + 1) // 2):
         chi = kronecker(D, a)
         if chi:
             total -= chi * log(sin(pi * a / D))
@@ -30,7 +33,7 @@ def analytic_class_number(D: int, d: int) -> int:
     eps = mpf(fu.value.a.numerator) / fu.value.a.denominator + (
         mpf(fu.value.b.numerator) / fu.value.b.denominator
     ) * sqrt(d)
-    h = total / (2 * log(eps))
+    h = 2 * total / (2 * log(eps))  # each a < D/2 stands for a and D - a
     rounded = int(nint(h))
     assert abs(h - rounded) < mpf(10) ** -20, (D, h)
     return rounded

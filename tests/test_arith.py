@@ -6,12 +6,9 @@ import pytest
 import twoclass.arith as arith
 from twoclass.arith import (
     FactoredSquarefree,
-    NonCoprimeModuli,
     NotSquarefree,
-    ResidueClass,
     UndefinedSymbol,
     WrongResidueClass,
-    crt,
     factor_squarefree,
     factorize,
     hilbert_symbol,
@@ -260,38 +257,6 @@ def test_sqrt_mod_prime_against_the_squares():
         assert (r is None) == (pow(n, (p - 1) // 2, p) == p - 1), n
         assert r is None or r * r % p == n, n
     assert sqrt_mod_prime(-1, 13) in (5, 8)
-
-
-def test_crt_examples():
-    got = crt([ResidueClass(3, 8), ResidueClass(2, 5)])
-    # scanning x = 0..39 for x = 3 (mod 8), x = 2 (mod 5) gives 27
-    assert [x for x in range(40) if x % 8 == 3 and x % 5 == 2] == [27]
-    assert (got.residue, got.modulus) == (27, 40)
-    got = crt([ResidueClass(3, 8)])
-    assert (got.residue, got.modulus) == (3, 8)
-    with pytest.raises(NonCoprimeModuli):
-        crt([ResidueClass(1, 4), ResidueClass(3, 6)])
-
-
-def test_crt_random_property():
-    rng = random.Random(99)
-    small_primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
-    for _ in range(300):
-        moduli = rng.sample(small_primes, rng.randint(1, 4))
-        congs = [ResidueClass(rng.randrange(m), m) for m in moduli]
-        got = crt(congs)
-        assert got.modulus == math.prod(moduli)
-        for c in congs:
-            assert got.residue % c.modulus == c.residue
-
-
-def test_residue_class_validation():
-    with pytest.raises(ValueError):
-        ResidueClass(5, 5)
-    with pytest.raises(ValueError):
-        ResidueClass(-1, 5)
-    with pytest.raises(ValueError):
-        ResidueClass(0, 0)
 
 
 def test_hilbert_symbol_examples():

@@ -4,20 +4,15 @@ import pytest
 
 from twoclass.arith import squarefree_range
 from twoclass.biquad import (
-    BiquadNumber,
     EvenRadicand,
     Inconsistent,
     NonIntegral,
     biquad_field,
     first_layer_rank,
     hasse_unit_index,
-    is_square_in_K1,
     kuroda_order,
     ramified_place_count,
-    sqrt_in_K1,
     structure_from_rank_and_order,
-    subfield_units,
-    unit_square_relations,
 )
 from twoclass.forms import Abelian2Group
 from twoclass.quadfield import (
@@ -27,6 +22,16 @@ from twoclass.quadfield import (
     is_square_in_K,
     quadratic_field,
     splitting_in,
+    unit_norm,
+)
+
+from k1_reference import (
+    BiquadNumber,
+    is_square_in_K1,
+    reference_hasse_unit_index,
+    sqrt_in_K1,
+    subfield_units,
+    unit_square_relations,
 )
 
 
@@ -195,6 +200,37 @@ def test_hasse_index_1885():
     hKp = class_group_summary(8 * 1885).ordinary.order
     order = kuroda_order(Q, hK, hKp, 1)
     assert order >= 2 ** first_layer_rank(1885)
+
+
+@pytest.mark.parametrize(
+    "d, norm_d, norm_2d, Q",
+    [
+        (3, 1, 1, 4),
+        (15, 1, 1, 2),
+        (105, 1, 1, 1),
+        (17, -1, 1, 2),
+        (445, -1, 1, 1),
+        (221, 1, -1, 1),
+        (5, -1, -1, 2),
+        (85, -1, -1, 1),
+    ],
+)
+def test_hasse_index_per_sign_case(d, norm_d, norm_2d, Q):
+    # one field for each pair of unit norms and each index that pair allows
+    assert (unit_norm(d), unit_norm(2 * d)) == (norm_d, norm_2d)
+    field = biquad_field(d)
+    assert hasse_unit_index(field) == Q
+    assert reference_hasse_unit_index(field) == Q
+
+
+def test_hasse_index_matches_exact_roots_in_K1():
+    # the integer parity-vector rule against exact square roots in K1; the
+    # unit of Q(sqrt(40000159)) has more than 4300 digits
+    fields = list(squarefree_range(3, 20000, 2))
+    assert len(fields) == 8103
+    for fs in fields + [40000159]:
+        field = biquad_field(fs)
+        assert hasse_unit_index(field) == reference_hasse_unit_index(field), fs
 
 
 def test_kuroda_order():

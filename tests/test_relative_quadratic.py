@@ -6,8 +6,10 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twoclass.biquad import BiquadNumber, biquad_field, sqrt_in_K1
+from twoclass.biquad import biquad_field
 from twoclass.quadfield import relative_mul, sign_of_quadratic, sqrt_in_quadratic
+
+from k1_reference import BiquadNumber, sqrt_in_K1
 
 QUAD_D = (2, 3, 5, 7, 13, 15)
 K1_D = (5, 13, 21, 1365)
