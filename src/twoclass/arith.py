@@ -35,6 +35,10 @@ class WrongResidueClass(ValueError):
     """The input prime lies in the wrong class for the requested test."""
 
 
+class BeyondPrimalityRange(ValueError):
+    """n >= 2**64, past the witness sets that make primality exact."""
+
+
 # Miller-Rabin witness sets, each exact for every n below its bound:
 # (2, 7, 61) below 4759123141 = 48781 * 97561, the least strong pseudoprime
 # to all three (Jaeschke, Math. Comp. 61, 1993); the first twelve primes
@@ -62,7 +66,7 @@ def is_prime(n: int) -> bool:
         raise ValueError("primality is defined for nonnegative integers")
     if n >= _MR_LIMIT:
         # refuse to answer probabilistically
-        raise ValueError("deterministic witness set only covers n < 2**64")
+        raise BeyondPrimalityRange("deterministic witness set only covers n < 2**64")
     if n < 2:
         return False
     if n < len(_spf):
@@ -70,10 +74,10 @@ def is_prime(n: int) -> bool:
     return _is_prime_beyond_sieve(n)
 
 
-# The layers of one field check its primes again and again (the
-# FactoredSquarefree of d and of 2d, genus.starred_prime, the residue
-# tests), so a short memo of recent answers spares repeating the test on a
-# prime beyond the sieve.
+# factor_squarefree tests a large prime twice (as factorize finds it, and
+# as FactoredSquarefree checks it) and the 2-power residue test checks its
+# prime again, so a short memo of recent answers spares repeating the test
+# on a prime beyond the sieve.
 @lru_cache(maxsize=1024)
 def _is_prime_beyond_sieve(n: int) -> bool:
     """is_prime for 2 <= n < 2**64 without the sieve: trial division by the
@@ -214,6 +218,21 @@ def factor_squarefree(n: int) -> FactoredSquarefree:
         if e > 1:
             raise NotSquarefree(f"{p}**{e} divides {n}")
     return FactoredSquarefree(n, tuple(p for p, _ in fac))
+
+
+def doubled(fs: FactoredSquarefree) -> FactoredSquarefree:
+    """The factorization of 2d, read off that of an odd d.
+
+    2 is the least prime and d is odd, so (2,) + fs.primes is increasing and
+    multiplies to 2d by construction: nothing is left to check, and the odd
+    primes are not tested for primality a second time.
+    """
+    if fs.value % 2 == 0:
+        raise ValueError(f"doubled needs an odd d, not {fs.value}")
+    out = object.__new__(FactoredSquarefree)
+    object.__setattr__(out, "value", 2 * fs.value)
+    object.__setattr__(out, "primes", (2,) + fs.primes)
+    return out
 
 
 def as_factored(d) -> FactoredSquarefree:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .arith import (
     FactoredSquarefree,
     as_factored,
+    doubled,
     sqrt_mod_prime,
     two_power_residue_test,
 )
@@ -123,7 +124,7 @@ def hasse_unit_index(field: BiquadField) -> int:
     primes = field.d.primes
     full = (1 << len(primes)) - 1
     vectors, norms = [], []
-    for sub in (field.d, FactoredSquarefree(2 * field.d.value, (2,) + primes)):
+    for sub in (field.d, doubled(field.d)):
         unit = fundamental_unit(quadratic_field(sub))
         norms.append(unit.norm)
         vectors.append(_parity_vector(int(2 * unit.value.a), unit.norm, primes))

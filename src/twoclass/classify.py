@@ -28,6 +28,7 @@ from typing import Callable, Optional
 from .arith import (
     FactoredSquarefree,
     as_factored,
+    doubled,
     is_prime,
     kronecker,
     two_power_residue_test,
@@ -81,21 +82,19 @@ class FieldShape:
 def shape_of(d) -> FieldShape:
     """The ramification pattern row for D_K with 3 or 4 prime divisors."""
     fs = as_factored(d)
-    roles = []
-    if fs.value % 4 != 1:
-        roles.append("2")
     odd = [p for p in fs.primes if p != 2]
-    roles += ["p" if p % 4 == 1 else "q" for p in odd]
-    roles_sorted = tuple(sorted(roles, key=lambda r: {"2": 0, "p": 1, "q": 2}[r]))
-    t = len(roles_sorted)
+    n_p = sum(1 for p in odd if p % 4 == 1)
+    n_q = len(odd) - n_p
+    two = fs.value % 4 != 1
+    t = two + n_p + n_q
     if t not in (3, 4):
         raise OutOfTable(f"{fs.value} has {t} ramified primes, not 3 or 4")
     parts = (["2"] if fs.value % 2 == 0 else []) + [
-        f"p{i+1}" for i in range(sum(1 for p in odd if p % 4 == 1))
-    ] + [f"q{i+1}" for i in range(sum(1 for p in odd if p % 4 == 3))]
+        f"p{i}" for i in range(1, n_p + 1)
+    ] + [f"q{i}" for i in range(1, n_q + 1)]
     return FieldShape(
         t,
-        roles_sorted,
+        ("2",) * two + ("p",) * n_p + ("q",) * n_q,
         fs.value % 4,
         1 if t == 3 else 2,
         "Q(sqrt(" + "*".join(parts) + "))",
@@ -105,17 +104,8 @@ def shape_of(d) -> FieldShape:
 # --- classifier 1: rank patterns ------------------------------------------
 
 
-def stable_rank_type(d) -> Optional[int]:
-    """Which congruence pattern (1..3) the odd square-free d matches, if any.
-
-    (1) d = p1 p2 p3, p1 = 1 or 5, p2 = p3 = 5 (mod 8);
-    (2) d = p1 p2 q1 q2, p1 = p2 = 5, q1 = 3 or 7, q2 = 3 (mod 8);
-    (3) d = q1 q2 q3 q4, q1 = 3 or 7, q2 = q3 = q4 = 3 (mod 8).
-    """
-    fs = as_factored(d)
-    if fs.value % 2 == 0:
-        return None
-    res = sorted(p % 8 for p in fs.primes)
+def _rank_type(res: list[int]) -> Optional[int]:
+    """stable_rank_type read off the sorted residues mod 8 of odd d's primes."""
     if len(res) == 3:
         if all(r in (1, 5) for r in res) and res.count(1) <= 1:
             return 1
@@ -128,16 +118,33 @@ def stable_rank_type(d) -> Optional[int]:
     return None
 
 
+def stable_rank_type(d) -> Optional[int]:
+    """Which congruence pattern (1..3) the odd square-free d matches, if any.
+
+    (1) d = p1 p2 p3, p1 = 1 or 5, p2 = p3 = 5 (mod 8);
+    (2) d = p1 p2 q1 q2, p1 = p2 = 5, q1 = 3 or 7, q2 = 3 (mod 8);
+    (3) d = q1 q2 q3 q4, q1 = 3 or 7, q2 = q3 = q4 = 3 (mod 8).
+    """
+    fs = as_factored(d)
+    if fs.value % 2 == 0:
+        return None
+    return _rank_type(sorted(p % 8 for p in fs.primes))
+
+
+def _tension(primes, pattern: Optional[int]) -> bool:
+    """rank_pattern_tension given the primes of odd d and its rank type."""
+    return pattern == 1 and any(
+        p % 8 == 1 and not two_power_residue_test(p) for p in primes
+    )
+
+
 def rank_pattern_tension(d) -> bool:
     """Type (1) with a prime = 1 (mod 8) that fails the 2-power residue
     obstruction: the congruence pattern then promises first-layer rank 2
     while the rank formula gives 3.  Reported, never silently resolved.
     """
     fs = as_factored(d)
-    if stable_rank_type(fs) != 1:
-        return False
-    ones = [p for p in fs.primes if p % 8 == 1]
-    return any(not two_power_residue_test(p) for p in ones)
+    return _tension(fs.primes, stable_rank_type(fs))
 
 
 # --- classifiers 2 and 3: symbol conditions --------------------------------
@@ -516,8 +523,7 @@ class TowerClaim:
 
 @dataclass(frozen=True)
 class PredictionReport:
-    d: int
-    primes: tuple[int, ...]
+    factored: FactoredSquarefree  # d and its primes, as predict received them
     shape: Optional[FieldShape]
     rank_K: Claim
     rank_Kprime: Claim
@@ -530,6 +536,14 @@ class PredictionReport:
     qqqq_condition: Optional[ConditionMatch]
     tower: Optional[TowerClaim]
     flags: tuple[str, ...]
+
+    @property
+    def d(self) -> int:
+        return self.factored.value
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        return self.factored.primes
 
     def to_json(self):
         return {
@@ -578,11 +592,11 @@ def predict(d) -> PredictionReport:
         shape = None
         flags.append("shape: outside the t=3,4 tables")
     rank_k = Claim(genus_rank(fs), "genus field")
-    fs2 = FactoredSquarefree(2 * fs.value, (2,) + fs.primes)
-    rank_kp = Claim(genus_rank(fs2), "genus field of Q(sqrt(2d))")
+    rank_kp = Claim(genus_rank(doubled(fs)), "genus field of Q(sqrt(2d))")
     rank_k1 = Claim(first_layer_rank(fs), "first-layer rank formula")
-    pattern = stable_rank_type(fs)
-    if rank_pattern_tension(fs):
+    res = sorted(p % 8 for p in fs.primes)
+    pattern = _rank_type(res)
+    if _tension(fs.primes, pattern):
         flags.append(
             "rank pattern (1) vs first-layer rank formula: a prime = 1 (mod 8) "
             "fails the 2-power residue obstruction, rank formula gives "
@@ -590,17 +604,16 @@ def predict(d) -> PredictionReport:
         )
     ppqq = None
     qqqq = None
-    res = sorted(p % 8 for p in fs.primes)
-    if len(fs.primes) == 4 and res == [3, 5, 5, 7]:
-        ppqq = structure_condition_ppqq(fs)
+    if res == [3, 5, 5, 7]:
+        ppqq = _first_match(fs, (5, 5, 7, 3), _PPQQ_CONDITIONS)
         if ppqq is None:
             flags.append(
                 "ppqq shape with no matching criterion: by the stated "
                 "equivalence the three structure claims should not all hold "
                 "(oracle counterexamples are reported as findings)"
             )
-    if len(fs.primes) == 4 and res == [3, 3, 3, 7]:
-        qqqq = structure_condition_qqqq(fs)
+    elif res == [3, 3, 3, 7]:
+        qqqq = _first_match(fs, (7, 3, 3, 3), _QQQQ_CONDITIONS)
     structure_K = structure_Kprime = structure_K1 = None
     if ppqq is not None or qqqq is not None:
         src, direction = (
@@ -620,8 +633,7 @@ def predict(d) -> PredictionReport:
             )
         tower = TowerClaim(rank_k.value, 0, True, lambda_zero)
     report = PredictionReport(
-        fs.value,
-        fs.primes,
+        fs,
         shape,
         rank_k,
         rank_kp,
@@ -715,7 +727,7 @@ def verify_against_oracle(
     it is used as is.  Every check reads the cached class-group summaries.
     """
     report = d if isinstance(d, PredictionReport) else predict(d)
-    fs = FactoredSquarefree(report.d, report.primes)
+    fs = report.factored
     D = discriminant(fs)
     Dprime = 8 * fs.value
     if max(D, Dprime) > oracle_limit:

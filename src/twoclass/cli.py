@@ -16,7 +16,7 @@ import itertools
 import json
 import sys
 
-from .arith import NotSquarefree, squarefree_range
+from .arith import BeyondPrimalityRange, NotSquarefree, squarefree_range
 from .classify import (
     DEFAULT_ORACLE_LIMIT,
     NotFoundWithinBound,
@@ -31,6 +31,10 @@ from .quadfield import fundamental_unit
 from .redei import splitting_sets
 
 SCHEMA_VERSION = "1"
+
+# classgroup's default bound on D: the oracle sieves the primes up to
+# sqrt(D), so 10**12 keeps that sieve at a million entries
+DEFAULT_CLASSGROUP_LIMIT = 10**12
 
 
 class UsageError(Exception):
@@ -288,6 +292,10 @@ def _cmd_unit(args, out) -> int:
 
 
 def _cmd_classgroup(args, out) -> int:
+    if args.D > args.oracle_limit:
+        raise OracleRangeExceeded(
+            f"discriminant {args.D} exceeds oracle limit {args.oracle_limit}"
+        )
     if args.ordinary:
         grp = ordinary_class_group(args.D)
     else:
@@ -368,6 +376,9 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--narrow", action="store_true", default=True)
     group.add_argument("--ordinary", action="store_true")
+    p.add_argument(
+        "--oracle-limit", type=_positive_int, default=DEFAULT_CLASSGROUP_LIMIT
+    )
     p.set_defaults(func=_cmd_classgroup)
 
     p = sub.add_parser("s1s2", help="Redei-Reichardt splitting sets of D")
@@ -395,6 +406,15 @@ def run(argv: list[str], out=None) -> int:
     except OracleRangeExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BeyondPrimalityRange:
+        # only the factorization of the input (D for s1s2, else d) tests an
+        # n >= 2**64, and such an n divides it
+        name = "D" if args.command == "s1s2" else "d"
+        print(
+            f"error: {name} must be below 2**64, where primality is deterministic",
+            file=sys.stderr,
+        )
+        return 1
     except (NotSquarefree, NotFoundWithinBound, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

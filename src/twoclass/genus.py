@@ -4,9 +4,17 @@ The narrow genus field is generated by the square roots of the prime
 discriminants dividing D_K; the real genus field is its totally real
 index-2 subfield.  Both are represented as F2-bases of square-free
 radicands, so field identity is span equality and no algebraic number
-arithmetic is needed.  The 2-ranks of the ordinary and narrow class groups
-drop out as basis sizes, and the genus formula gives the order of the
-subgroup of A(K) fixed by Gal(K/Q).
+arithmetic is needed.  These fields remain the library's description of
+genus theory; the genus formula reads the order of the subgroup of A(K)
+fixed by Gal(K/Q) off them.
+
+The 2-ranks are their basis sizes less one, in closed form: with t the
+number of primes dividing D_K, rank A+(K) = t - 1 and rank A(K) =
+t - 1 - [q | d], where [q | d] is 1 when some prime q = 3 (mod 4) divides
+d.  (D_K > 0 has an even number of negative prime discriminants, so -4
+or -8 is never the only one, some -q is among them exactly when q | d, and
+then the real genus field has one generator fewer.)  The ranks read t and q off
+the primes the argument already carries, and build no field.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime
+from .arith import as_factored, factorize, is_prime
 from .quadfield import QuadraticField, minus_one_is_norm, quadratic_field
 
 
@@ -136,14 +144,32 @@ def genus_field(K) -> GenusField:
     return GenusField(tuple(pos), 2 ** len(pos), "real")
 
 
+def _ramification(K) -> tuple[int, bool]:
+    """(t, [q | d]) for K given as a QuadraticField, a FactoredSquarefree or
+    an int: t counts the primes dividing D_K, and the flag says whether a
+    prime = 3 (mod 4) divides d.  A bare int is factored once."""
+    if isinstance(K, QuadraticField):
+        d, primes = K.d, K.primes
+    else:
+        fs = as_factored(K)
+        d, primes = fs.value, fs.primes
+    if d < 2:
+        raise ValueError("real quadratic field needs square-free d >= 2")
+    t = len(primes) + (d % 4 == 3)
+    return t, any(p % 4 == 3 for p in primes)
+
+
 def narrow_genus_rank(K) -> int:
     """2-rank of the narrow class group: t - 1."""
-    return len(narrow_genus_field(K).radicands) - 1
+    t, _ = _ramification(K)
+    return t - 1
 
 
 def genus_rank(K) -> int:
-    """2-rank of the ordinary class group: log2 [K_G : K]."""
-    return len(genus_field(K).radicands) - 1
+    """2-rank of the ordinary class group: t - 1 - [q | d], the log2 of
+    [K_G : K]."""
+    t, has_q = _ramification(K)
+    return t - 1 - has_q
 
 
 def genus_fixed_order(K) -> int:

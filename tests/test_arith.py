@@ -9,6 +9,7 @@ from twoclass.arith import (
     NotSquarefree,
     UndefinedSymbol,
     WrongResidueClass,
+    doubled,
     factor_squarefree,
     factorize,
     hilbert_symbol,
@@ -100,6 +101,14 @@ def test_factored_squarefree_validation():
         FactoredSquarefree(8, (2, 4))  # 4 not prime
     with pytest.raises(NotSquarefree):
         FactoredSquarefree(10, (2, 3))  # wrong product
+
+
+def test_doubled_is_the_factorization_of_2d():
+    for fs in squarefree_range(1, 10**5, 2):
+        assert doubled(fs) == factor_squarefree(2 * fs.value), fs.value
+    for even in (2, 6, 10):
+        with pytest.raises(ValueError):
+            doubled(factor_squarefree(even))
 
 
 def test_factorize_pollard_path():

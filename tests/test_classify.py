@@ -338,3 +338,20 @@ def test_verify_reads_summaries_and_takes_a_report(monkeypatch):
     report = predict(1365)
     monkeypatch.setattr("twoclass.classify.predict", boom)
     assert verify_against_oracle(report) == v
+
+
+def test_report_carries_the_factorization_it_was_given(monkeypatch):
+    # predict builds no second validated factorization and no starred
+    # prime, and the oracle replay reuses the report's factorization
+    fs = next(squarefree_range(1365, 1366))
+    report = predict(fs)
+    assert report.factored is fs
+    assert (report.d, report.primes) == (1365, (3, 5, 7, 13))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the primes were already tested")
+
+    monkeypatch.setattr("twoclass.arith.FactoredSquarefree.__post_init__", boom)
+    monkeypatch.setattr("twoclass.genus.starred_prime", boom)
+    assert predict(fs) == report
+    assert verify_against_oracle(report).ok

@@ -91,7 +91,7 @@ def test_enumerate_identical_across_parallelism():
 def test_enumerate_sieves_only_the_window(monkeypatch):
     # the sweep's sieve holds the primes up to sqrt(--max), not --max
     # entries; the one prime of a d beyond it is tested once, as the sieve
-    # yields d, and every later check of it in the field's layers is a hit
+    # yields d, and the field's layers read it from there
     monkeypatch.setattr(arith, "_spf", [])
     arith._is_prime_beyond_sieve.cache_clear()
     argv = ["enumerate", "--csv", "--min", "1000000", "--max", "1002000"]
@@ -99,8 +99,11 @@ def test_enumerate_sieves_only_the_window(monkeypatch):
     assert len(arith._spf) <= 4096
     tests = arith._is_prime_beyond_sieve.cache_info()
     # one test at most per odd square-free d: the even d are never factored
-    assert tests.misses <= sum(1 for _ in squarefree_range(1000001, 1002000, 2))
-    assert tests.hits > tests.misses
+    odd = list(squarefree_range(1000001, 1002000, 2))
+    assert tests.misses <= len(odd)
+    # only the 2-power residue tests (of the first-layer rank and of the
+    # pattern (1) flag) check a prime again, and only a prime = 1 (mod 8)
+    assert tests.hits <= 2 * sum(1 for fs in odd if fs.primes[-1] % 8 == 1)
 
 
 def test_cli_import_loads_no_process_pool():
@@ -300,6 +303,37 @@ def test_oracle_range_exit_3():
     assert code == 3
 
 
+def test_classgroup_oracle_limit(capsys):
+    # past the limit, before any sieve: a D >= 2**64 once asked for a
+    # sieve of sqrt(D) entries and died with MemoryError
+    for argv in (
+        ["classgroup", str(2**64 + 13)],
+        ["classgroup", "1365", "--oracle-limit", "1364"],
+        ["classgroup", "4000004", "--ordinary", "--oracle-limit", "4000000"],
+    ):
+        capsys.readouterr()
+        code, doc, text = run_json(argv)
+        assert code == 3 and doc is None and text == "", argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: discriminant") and err.count("\n") == 1, argv
+    assert run_json(["classgroup", "1365", "--oracle-limit", "1365"])[0] == 0
+    assert cli.DEFAULT_CLASSGROUP_LIMIT >= 4 * 10**6
+
+
+def test_input_beyond_2_64_names_the_supported_range(capsys):
+    big = str(2**64 + 13)  # a prime
+    for argv, name in (
+        (["classify", big], "d"),
+        (["unit", big], "d"),
+        (["s1s2", big], "D"),
+    ):
+        capsys.readouterr()
+        assert run_json(argv) == (1, None, ""), argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be below 2**64"), (argv, err)
+        assert err.count("\n") == 1, argv
+
+
 GOLDEN_STDOUT = {
     ("verify", "--max", "4000"): (
         "c7948d9d35d014d06770ce42ebcd36ab5f3a4c5d5a1bc69d408cad4a84a631e4"
@@ -317,6 +351,10 @@ GOLDEN_STDOUT = {
     # qqqq condition 1 with labeling (7, 19, 3, 11)
     ("classify", "4389", "--verify"): (
         "b7a49cee4a7f94ec7a36d9a7ef9ec942637fbe265d5cd1deba91de3b779ba70c"
+    ),
+    # predictions only, with primes beyond the window sieve's 4096 entries
+    ("enumerate", "--csv", "--min", "1000000", "--max", "1002000"): (
+        "0f4713fb83bf1940fb7bd010ebbdddcc9cfe1c5a1af98fd538a00b08e8b15ae3"
     ),
 }
 
@@ -346,6 +384,7 @@ def test_sweeps_reject_empty_range_and_bad_threads(capsys):
         ["classify", "15"],
         ["enumerate", "--max", "40"],
         ["verify", "--max", "40"],
+        ["classgroup", "1365"],
     ):
         for limit in ("0", "-3"):
             bad.append([*command, "--oracle-limit", limit])

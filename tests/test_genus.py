@@ -95,6 +95,17 @@ def test_genus_rank_examples():
     assert narrow_genus_rank(1365) == 3
 
 
+def test_closed_form_ranks_match_the_genus_fields():
+    # the ranks read t and [q | d] off the carried primes; the fields are
+    # the definition, whatever form the field is handed in
+    for fs in squarefree_range(2, 10**5):
+        for K in (fs.value, fs, quadratic_field(fs)):
+            assert genus_rank(K) == len(genus_field(K).radicands) - 1, fs.value
+            assert (
+                narrow_genus_rank(K) == len(narrow_genus_field(K).radicands) - 1
+            ), fs.value
+
+
 def test_genus_fixed_order():
     assert genus_fixed_order(quadratic_field(1365)) == 4
     assert genus_fixed_order(quadratic_field(5)) == 1
