@@ -207,6 +207,15 @@ class FactoredSquarefree:
         if prod != self.value:
             raise NotSquarefree(f"{self.value} != product of {self.primes}")
 
+    @classmethod
+    def _trusted(cls, value: int, primes: tuple[int, ...]) -> FactoredSquarefree:
+        """Build without __post_init__, for a caller whose primes hold by
+        construction."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "value", value)
+        object.__setattr__(out, "primes", primes)
+        return out
+
     def __int__(self) -> int:
         return self.value
 
@@ -229,10 +238,7 @@ def doubled(fs: FactoredSquarefree) -> FactoredSquarefree:
     """
     if fs.value % 2 == 0:
         raise ValueError(f"doubled needs an odd d, not {fs.value}")
-    out = object.__new__(FactoredSquarefree)
-    object.__setattr__(out, "value", 2 * fs.value)
-    object.__setattr__(out, "primes", (2,) + fs.primes)
-    return out
+    return FactoredSquarefree._trusted(2 * fs.value, (2,) + fs.primes)
 
 
 def as_factored(d) -> FactoredSquarefree:

@@ -104,8 +104,17 @@ def shape_of(d) -> FieldShape:
 # --- classifier 1: rank patterns ------------------------------------------
 
 
-def _rank_type(res: list[int]) -> Optional[int]:
-    """stable_rank_type read off the sorted residues mod 8 of odd d's primes."""
+def stable_rank_type(d) -> Optional[int]:
+    """Which congruence pattern (1..3) the odd square-free d matches, if any.
+
+    (1) d = p1 p2 p3, p1 = 1 or 5, p2 = p3 = 5 (mod 8);
+    (2) d = p1 p2 q1 q2, p1 = p2 = 5, q1 = 3 or 7, q2 = 3 (mod 8);
+    (3) d = q1 q2 q3 q4, q1 = 3 or 7, q2 = q3 = q4 = 3 (mod 8).
+    """
+    fs = as_factored(d)
+    if fs.value % 2 == 0:
+        return None
+    res = sorted(p % 8 for p in fs.primes)
     if len(res) == 3:
         if all(r in (1, 5) for r in res) and res.count(1) <= 1:
             return 1
@@ -118,33 +127,16 @@ def _rank_type(res: list[int]) -> Optional[int]:
     return None
 
 
-def stable_rank_type(d) -> Optional[int]:
-    """Which congruence pattern (1..3) the odd square-free d matches, if any.
-
-    (1) d = p1 p2 p3, p1 = 1 or 5, p2 = p3 = 5 (mod 8);
-    (2) d = p1 p2 q1 q2, p1 = p2 = 5, q1 = 3 or 7, q2 = 3 (mod 8);
-    (3) d = q1 q2 q3 q4, q1 = 3 or 7, q2 = q3 = q4 = 3 (mod 8).
-    """
-    fs = as_factored(d)
-    if fs.value % 2 == 0:
-        return None
-    return _rank_type(sorted(p % 8 for p in fs.primes))
-
-
-def _tension(primes, pattern: Optional[int]) -> bool:
-    """rank_pattern_tension given the primes of odd d and its rank type."""
-    return pattern == 1 and any(
-        p % 8 == 1 and not two_power_residue_test(p) for p in primes
-    )
-
-
 def rank_pattern_tension(d) -> bool:
     """Type (1) with a prime = 1 (mod 8) that fails the 2-power residue
     obstruction: the congruence pattern then promises first-layer rank 2
     while the rank formula gives 3.  Reported, never silently resolved.
     """
     fs = as_factored(d)
-    return _tension(fs.primes, stable_rank_type(fs))
+    if stable_rank_type(fs) != 1:
+        return False
+    ones = [p for p in fs.primes if p % 8 == 1]
+    return any(not two_power_residue_test(p) for p in ones)
 
 
 # --- classifiers 2 and 3: symbol conditions --------------------------------
@@ -594,9 +586,8 @@ def predict(d) -> PredictionReport:
     rank_k = Claim(genus_rank(fs), "genus field")
     rank_kp = Claim(genus_rank(doubled(fs)), "genus field of Q(sqrt(2d))")
     rank_k1 = Claim(first_layer_rank(fs), "first-layer rank formula")
-    res = sorted(p % 8 for p in fs.primes)
-    pattern = _rank_type(res)
-    if _tension(fs.primes, pattern):
+    pattern = stable_rank_type(fs)
+    if pattern == 1 and rank_pattern_tension(fs):
         flags.append(
             "rank pattern (1) vs first-layer rank formula: a prime = 1 (mod 8) "
             "fails the 2-power residue obstruction, rank formula gives "
@@ -604,6 +595,7 @@ def predict(d) -> PredictionReport:
         )
     ppqq = None
     qqqq = None
+    res = sorted(p % 8 for p in fs.primes)
     if res == [3, 5, 5, 7]:
         ppqq = _first_match(fs, (5, 5, 7, 3), _PPQQ_CONDITIONS)
         if ppqq is None:

@@ -32,9 +32,9 @@ from .redei import splitting_sets
 
 SCHEMA_VERSION = "1"
 
-# classgroup's default bound on D: the oracle sieves the primes up to
-# sqrt(D), so 10**12 keeps that sieve at a million entries
-DEFAULT_CLASSGROUP_LIMIT = 10**12
+# classgroup's bound on D: the oracle sieves the primes up to sqrt(D), so
+# 10**12 keeps that sieve at a million entries
+CLASSGROUP_LIMIT = 10**12
 
 
 class UsageError(Exception):
@@ -292,9 +292,9 @@ def _cmd_unit(args, out) -> int:
 
 
 def _cmd_classgroup(args, out) -> int:
-    if args.D > args.oracle_limit:
+    if args.D > CLASSGROUP_LIMIT:
         raise OracleRangeExceeded(
-            f"discriminant {args.D} exceeds oracle limit {args.oracle_limit}"
+            f"discriminant {args.D} exceeds oracle limit {CLASSGROUP_LIMIT}"
         )
     if args.ordinary:
         grp = ordinary_class_group(args.D)
@@ -376,9 +376,6 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--narrow", action="store_true", default=True)
     group.add_argument("--ordinary", action="store_true")
-    p.add_argument(
-        "--oracle-limit", type=_positive_int, default=DEFAULT_CLASSGROUP_LIMIT
-    )
     p.set_defaults(func=_cmd_classgroup)
 
     p = sub.add_parser("s1s2", help="Redei-Reichardt splitting sets of D")
@@ -411,7 +408,8 @@ def run(argv: list[str], out=None) -> int:
         # n >= 2**64, and such an n divides it
         name = "D" if args.command == "s1s2" else "d"
         print(
-            f"error: {name} must be below 2**64, where primality is deterministic",
+            f"error: {name} has a factor of 2**64 or more, "
+            "past deterministic primality",
             file=sys.stderr,
         )
         return 1

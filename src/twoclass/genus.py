@@ -5,16 +5,17 @@ discriminants dividing D_K; the real genus field is its totally real
 index-2 subfield.  Both are represented as F2-bases of square-free
 radicands, so field identity is span equality and no algebraic number
 arithmetic is needed.  These fields remain the library's description of
-genus theory; the genus formula reads the order of the subgroup of A(K)
-fixed by Gal(K/Q) off them.
+genus theory.
 
 The 2-ranks are their basis sizes less one, in closed form: with t the
 number of primes dividing D_K, rank A+(K) = t - 1 and rank A(K) =
 t - 1 - [q | d], where [q | d] is 1 when some prime q = 3 (mod 4) divides
 d.  (D_K > 0 has an even number of negative prime discriminants, so -4
 or -8 is never the only one, some -q is among them exactly when q | d, and
-then the real genus field has one generator fewer.)  The ranks read t and q off
-the primes the argument already carries, and build no field.
+then the real genus field has one generator fewer.)  The ranks read t
+and q off the primes the argument already carries, and build no field.
+The genus formula's order 2^(t-1)/n of the subgroup of A(K) fixed by
+Gal(K/Q) is 2^rank A(K), since n = 2 exactly when some q divides d.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import as_factored, factorize, is_prime
-from .quadfield import QuadraticField, minus_one_is_norm, quadratic_field
+from .quadfield import QuadraticField, quadratic_field
 
 
 class EvenPrime(ValueError):
@@ -177,12 +178,7 @@ def genus_fixed_order(K) -> int:
 
     t counts the ramified places of Q in K (the prime divisors of D_K) and
     n = [E(Q) : E(Q) cap N(K^x)] is 1 when -1 is a local norm everywhere,
-    else 2.
+    else 2.  n = 2 exactly when some prime q = 3 (mod 4) divides d, so the
+    order is 2^rank A(K).
     """
-    K = _field_of(K)
-    t = len(narrow_genus_field(K).radicands)
-    n = 1 if minus_one_is_norm(K) else 2
-    order2 = 2 ** (t - 1)
-    if order2 % n:
-        raise ValueError(f"genus formula gives non-integral order for {K}")
-    return order2 // n
+    return 2 ** genus_rank(K)

@@ -306,18 +306,16 @@ def test_oracle_range_exit_3():
 def test_classgroup_oracle_limit(capsys):
     # past the limit, before any sieve: a D >= 2**64 once asked for a
     # sieve of sqrt(D) entries and died with MemoryError
-    for argv in (
-        ["classgroup", str(2**64 + 13)],
-        ["classgroup", "1365", "--oracle-limit", "1364"],
-        ["classgroup", "4000004", "--ordinary", "--oracle-limit", "4000000"],
-    ):
-        capsys.readouterr()
-        code, doc, text = run_json(argv)
-        assert code == 3 and doc is None and text == "", argv
-        err = capsys.readouterr().err
-        assert err.startswith("error: discriminant") and err.count("\n") == 1, argv
-    assert run_json(["classgroup", "1365", "--oracle-limit", "1365"])[0] == 0
-    assert cli.DEFAULT_CLASSGROUP_LIMIT >= 4 * 10**6
+    for D in (2**64 + 13, cli.CLASSGROUP_LIMIT + 1):
+        for variant in ([], ["--ordinary"]):
+            argv = ["classgroup", str(D), *variant]
+            capsys.readouterr()
+            code, doc, text = run_json(argv)
+            assert code == 3 and doc is None and text == "", argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: discriminant") and err.count("\n") == 1
+    # the limit admits every D the tests and the benchmark ask about
+    assert cli.CLASSGROUP_LIMIT >= 4 * 10**6
 
 
 def test_input_beyond_2_64_names_the_supported_range(capsys):
@@ -330,8 +328,17 @@ def test_input_beyond_2_64_names_the_supported_range(capsys):
         capsys.readouterr()
         assert run_json(argv) == (1, None, ""), argv
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {name} must be below 2**64"), (argv, err)
+        assert err.startswith(f"error: {name} has a factor of 2**64 or more"), (
+            argv,
+            err,
+        )
         assert err.count("\n") == 1, argv
+    # the rule is on the factors: 3 * (2**63 - 25) >= 2**64 has prime
+    # factors below 2**64 and is answered
+    composite = str(3 * (2**63 - 25))
+    for argv in (["classify", composite], ["s1s2", composite]):
+        code, doc, _ = run_json(argv)
+        assert code == 0 and doc["command"] == argv[0], argv
 
 
 GOLDEN_STDOUT = {
@@ -384,7 +391,6 @@ def test_sweeps_reject_empty_range_and_bad_threads(capsys):
         ["classify", "15"],
         ["enumerate", "--max", "40"],
         ["verify", "--max", "40"],
-        ["classgroup", "1365"],
     ):
         for limit in ("0", "-3"):
             bad.append([*command, "--oracle-limit", limit])
