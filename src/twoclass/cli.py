@@ -32,9 +32,9 @@ from .redei import splitting_sets
 
 SCHEMA_VERSION = "1"
 
-# classgroup's bound on D: the oracle sieves the primes up to sqrt(D), so
-# 10**12 keeps that sieve at a million entries
-CLASSGROUP_LIMIT = 10**12
+# the largest classgroup D and sweep --max: the oracle and the sweeps' window
+# sieve tabulate the primes up to its square root, here a million entries
+SQRT_SIEVE_LIMIT = 10**12
 
 
 class UsageError(Exception):
@@ -182,6 +182,8 @@ def _sweep_rows(args, do_verify: bool, shape: str | None = None) -> list[dict]:
     """Rows for every odd square-free d in [--min, --max) of the given shape."""
     if args.max <= args.min:
         raise UsageError("--max must exceed --min")
+    if args.max > SQRT_SIEVE_LIMIT:
+        raise UsageError(f"--max must not exceed {SQRT_SIEVE_LIMIT}")
     # lazily: each field is predicted while the primality answers for its
     # primes are fresh in arith's memo, and no sweep holds all its fields
     ds = squarefree_range(max(args.min, 3) | 1, args.max, 2)
@@ -292,9 +294,9 @@ def _cmd_unit(args, out) -> int:
 
 
 def _cmd_classgroup(args, out) -> int:
-    if args.D > CLASSGROUP_LIMIT:
+    if args.D > SQRT_SIEVE_LIMIT:
         raise OracleRangeExceeded(
-            f"discriminant {args.D} exceeds oracle limit {CLASSGROUP_LIMIT}"
+            f"discriminant {args.D} exceeds oracle limit {SQRT_SIEVE_LIMIT}"
         )
     if args.ordinary:
         grp = ordinary_class_group(args.D)

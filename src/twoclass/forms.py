@@ -2,11 +2,12 @@
 quadratic forms.
 
 This is the verification oracle of the package: narrow class groups are
-computed from first principles as rho-cycles of reduced forms.  For a
-fundamental D the cycles are found by closing the principal and sign cycles
-under Gauss composition with the prime forms of norm at most sqrt(D)/2;
-any other D walks every reduced form it has.  Equivalence of forms is always
-decided by cycle membership, never by floating-point invariants.
+computed from first principles as rho-cycles of reduced forms.  The cycles
+are found by closing the principal and sign cycles under Gauss composition
+with the prime forms of norm at most sqrt(D)/2, and, for each prime p
+dividing the conductor of D, the primitive forms of norm p^k up to the same
+bound.  Equivalence of forms is always decided by cycle membership, never by
+floating-point invariants.
 
 One builder finds the cycles of D; the narrow group, its sign-class quotient
 (the ordinary group) and the summaries are read off it.  A group lists each
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .arith import _xgcd, factorize, primes_upto, spf_table, sqrt_mod_prime
+from .arith import _xgcd, factorize, spf_table, sqrt_mod_prime
 
 _CACHE_SIZE = 1024  # summaries memoised; a sweep revisits only D = 8
 
@@ -106,49 +107,18 @@ def reduce_form(f: IndefiniteForm) -> IndefiniteForm:
     return IndefiniteForm(*_reduce(*f, D, s))
 
 
-def _divisors(n: int, primes: list[int]) -> list[int]:
-    """The divisors of n >= 1, grouped by prime in increasing order; primes
-    must hold every prime up to isqrt(n)."""
-    divs = [1]
-    for p in primes:
-        if p * p > n:
-            break
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            divs += [d * p**k for d in divs for k in range(1, e + 1)]
-    if n > 1:
-        divs += [d * n for d in divs]
-    return divs
-
-
-def _reduced_forms_raw(D: int, s: int) -> list[tuple[int, int, int]]:
-    """All reduced forms of discriminant D, by divisor enumeration per b.
-    Each n = (D - b^2)/4 is factored by the primes up to isqrt(D // 4), so
-    the sieve has about sqrt(D)/2 entries."""
-    primes = primes_upto(math.isqrt(D // 4))
-    out = []
-    b = 2 - (D & 1)
-    while b <= s:
-        n = (D - b * b) // 4
-        lo = s - b + 1  # window: lo <= 2a <= hi
-        hi = s + b
-        for a in _divisors(n, primes):
-            t = 2 * a
-            if lo <= t <= hi:
-                c = -(n // a)
-                out.append((a, b, c))
-                out.append((-a, b, -c))
-        b += 2
-    return out
-
-
 def reduced_forms(D: int) -> list[IndefiniteForm]:
-    """Every reduced indefinite form of discriminant D, duplicate-free."""
+    """Every reduced indefinite form of discriminant D, duplicate-free.
+
+    The forms of content g are g times the primitive reduced forms of
+    D/g^2, and those are the forms on the cycles of D/g^2."""
     s = _check_discriminant(D)
-    return sorted(IndefiniteForm(*f) for f in _reduced_forms_raw(D, s))
+    out = []
+    for g in range(1, s + 1):
+        if D % (g * g) == 0 and D // (g * g) % 4 in (0, 1):
+            cycles = _cycles(D // (g * g))
+            out += [IndefiniteForm(g * a, g * b, g * c) for a, b, c in cycles.cycle_of]
+    return sorted(out)
 
 
 def _solve_linear(a: int, b: int, m: int) -> tuple[int, int]:
@@ -247,18 +217,20 @@ def _walk(f, D: int, s: int, cycle_of: dict, reps: list) -> int:
     return cid
 
 
-def _prime_forms(D: int, s: int) -> list[tuple[int, int, int]] | None:
-    """The forms (p, b, (b^2 - D)/4p) of the primes p <= s//2 + 1 with
-    (D/p) != -1, or None when D is not fundamental.
+def _prime_forms(D: int, s: int) -> list[tuple[int, int, int]]:
+    """The generators of the closure, each of norm at most s//2 + 1: the
+    forms (p, b, (b^2 - D)/4p) of the primes p with (D/p) != -1 that do not
+    divide the conductor f of D, and every primitive form (p^k, b, .) of
+    each prime p that does.
 
-    D fails to be fundamental exactly when D = 0, 4 (mod 16) or p^2 | D for
-    an odd prime p; such p is at most sqrt(D)/2 unless D is q^2, 2q^2 or
-    3q^2, which no valid nonsquare D is.
+    2 divides f exactly when D = 0, 4 (mod 16), and an odd p exactly when
+    p^2 | D.
     """
     if D % 16 in (0, 4):
-        return None
-    b2 = next((b for b in range(4) if (b * b - D) % 8 == 0), None)
-    out = [] if b2 is None else [_prime_form(2, b2, D, s)]
+        out = _prime_power_forms(2, D, s)
+    else:
+        b2 = next((b for b in range(4) if (b * b - D) % 8 == 0), None)
+        out = [] if b2 is None else [_prime_form(2, b2, D, s)]
     spf = spf_table(s + 1)
     for p in range(3, s // 2 + 2, 2):
         if spf[p] != p:
@@ -267,42 +239,60 @@ def _prime_forms(D: int, s: int) -> list[tuple[int, int, int]] | None:
         if b is None:
             continue
         if b == 0 and D % (p * p) == 0:
-            return None
+            out += _prime_power_forms(p, D, s)
+            continue
         if (b - D) % 2:  # b = D (mod 2) makes b^2 = D (mod 4p)
             b += p
         out.append(_prime_form(p, b, D, s))
     return out
 
 
-def _prime_form(p: int, b: int, D: int, s: int) -> tuple[int, int, int]:
-    """(p, b', c) with b' = b (mod 2p) in (s - 2p, s], already reduced when
-    2p < sqrt(D) and b' > 0."""
-    b = s - (s - b) % (2 * p)
-    return p, b, (b * b - D) // (4 * p)
+def _prime_power_forms(p: int, D: int, s: int) -> list[tuple[int, int, int]]:
+    """Every primitive form (q, b, (b^2 - D)/4q) with q = p^k <= s//2 + 1,
+    one per b modulo 2q: O(s) candidates b in all."""
+    out = []
+    q = p
+    while q <= s // 2 + 1:
+        for b in range(D & 1, 2 * q, 2):
+            c, r = divmod(b * b - D, 4 * q)
+            if r == 0 and math.gcd(math.gcd(q, b), c) == 1:
+                out.append(_prime_form(q, b, D, s))
+        q *= p
+    return out
+
+
+def _prime_form(q: int, b: int, D: int, s: int) -> tuple[int, int, int]:
+    """(q, b', c) with b' = b (mod 2q) in (s - 2q, s], already reduced when
+    2q < sqrt(D) and b' > 0."""
+    b = s - (s - b) % (2 * q)
+    return q, b, (b * b - D) // (4 * q)
 
 
 def _cycles(D: int) -> _Cycles:
     """The rho-cycles of the primitive reduced forms of D, with the
     principal and the sign cycle.
 
-    For fundamental D the classes are the closure of the principal and sign
-    cycles under the prime forms of norm p <= sqrt(D)/2: every cycle holds a
-    reduced form with |a| < sqrt(D)/2 (|ac| < D/4, and rho brings c to the
-    front), whose class is a product of prime-form classes times the sign
-    class when a < 0 (Cohen, GTM 138, 5.2 and 5.4).  Other D walk every
-    primitive form of the reduced-form enumeration.
+    The classes are the closure of the principal and sign cycles under the
+    generators of _prime_forms (Cohen, GTM 138, 5.2 and 5.4; Buchmann and
+    Vollmer, Binary Quadratic Forms, 2007, for orders):
+
+    * every cycle holds a reduced form (a, b, c) with |a| < sqrt(D)/2, since
+      |ac| < D/4 and rho brings c to the front;
+    * Dirichlet composition splits such a form, for a > 0, into the
+      primitive forms (p^k, b, ac/p^k), one for each p^k || a;
+    * for p not dividing the conductor f, each of those forms is a power of
+      the prime form of p or of its inverse;
+    * for p | f, those forms are themselves generators;
+    * a negative a costs one factor of the sign class.
     """
     s = _check_discriminant(D)
-    gens = _prime_forms(D, s)
-    if gens is None:
-        return _cycles_from(D, s, _reduced_forms_raw(D, s), ())
-    return _cycles_from(D, s, (), gens)
+    return _cycles_from(D, s, _prime_forms(D, s))
 
 
-def _cycles_from(D: int, s: int, seeds, gens) -> _Cycles:
-    """Walk the cycles of the primitive forms among seeds, then those of the
-    principal and the sign form, then close the group under the classes of
-    gens.  Each class the closure adds costs one composition and one walk."""
+def _cycles_from(D: int, s: int, gens) -> _Cycles:
+    """Walk the cycles of the principal and the sign form, then close the
+    group under the classes of gens.  Each class the closure adds costs one
+    composition and one walk."""
     cycle_of: dict[tuple[int, int, int], int] = {}
     reps: list[tuple[int, int, int]] = []
 
@@ -310,9 +300,6 @@ def _cycles_from(D: int, s: int, seeds, gens) -> _Cycles:
         cid = cycle_of.get(f)
         return _walk(f, D, s, cycle_of, reps) if cid is None else cid
 
-    for f in seeds:
-        if f not in cycle_of and math.gcd(math.gcd(f[0], f[1]), f[2]) == 1:
-            _walk(f, D, s, cycle_of, reps)
     # the principal form, and -1 times it
     b0 = D & 1
     c0 = (b0 - D) // 4  # b0 * b0 == b0

@@ -306,7 +306,7 @@ def test_oracle_range_exit_3():
 def test_classgroup_oracle_limit(capsys):
     # past the limit, before any sieve: a D >= 2**64 once asked for a
     # sieve of sqrt(D) entries and died with MemoryError
-    for D in (2**64 + 13, cli.CLASSGROUP_LIMIT + 1):
+    for D in (2**64 + 13, cli.SQRT_SIEVE_LIMIT + 1):
         for variant in ([], ["--ordinary"]):
             argv = ["classgroup", str(D), *variant]
             capsys.readouterr()
@@ -315,7 +315,7 @@ def test_classgroup_oracle_limit(capsys):
             err = capsys.readouterr().err
             assert err.startswith("error: discriminant") and err.count("\n") == 1
     # the limit admits every D the tests and the benchmark ask about
-    assert cli.CLASSGROUP_LIMIT >= 4 * 10**6
+    assert cli.SQRT_SIEVE_LIMIT >= 4 * 10**6
 
 
 def test_input_beyond_2_64_names_the_supported_range(capsys):
@@ -363,6 +363,13 @@ GOLDEN_STDOUT = {
     ("enumerate", "--csv", "--min", "1000000", "--max", "1002000"): (
         "0f4713fb83bf1940fb7bd010ebbdddcc9cfe1c5a1af98fd538a00b08e8b15ae3"
     ),
+    # a non-fundamental D (= 4 mod 16): the conductor's prime-power forms
+    ("classgroup", "400000020"): (
+        "554d3b54428f64ad485121e8a855d47ff45285a323bd216e4c07efd588c6555e"
+    ),
+    ("classgroup", "400000020", "--ordinary"): (
+        "311f2935aa2e35d17e5948c3b18e3566dc10e0aa4ccaf41e4acb68a1e5ee48ca"
+    ),
 }
 
 
@@ -383,6 +390,9 @@ def test_sweeps_reject_empty_range_and_bad_threads(capsys):
             ["--min", "10", "--max", "10"],
             ["--max", "50", "--threads", "0"],
             ["--max", "50", "--threads", "-2"],
+            # past the bound on the window sieve, before any sieve is built
+            ["--max", str(10**18)],
+            ["--min", str(2**64), "--max", str(2**64 + 100)],
         )
     ]
     # every limit is a positive int: the oracle limit on all three oracle

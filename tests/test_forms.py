@@ -282,19 +282,48 @@ def test_torsion_chains_against_mul_and_power():
 # --- the generator closure against the full reduced-form enumeration -------
 
 
+def _reduced_forms_by_full_sieve(D, s):
+    """The reference enumeration of the reduced forms of D, with a sieve of
+    D/4 + 1 entries: the divisors of each (D - b^2)/4 read off its
+    smallest-prime-factor chain."""
+    spf = arith.spf_table(D // 4 + 1)
+    out = []
+    for b in range(2 - (D & 1), s + 1, 2):
+        n = m = (D - b * b) // 4
+        divs = [1]
+        while m > 1:
+            p, e = spf[m], 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            divs += [d * p**k for d in divs for k in range(1, e + 1)]
+        for a in divs:
+            if s - b + 1 <= 2 * a <= s + b:
+                out += [(a, b, -(n // a)), (-a, b, n // a)]
+    return out
+
+
 def _enumerated_cycles(D):
-    """Reference cycles: walk every primitive form of the full reduced-form
-    enumeration (the list that reduced_forms(D) returns sorted)."""
+    """Reference cycles: walk every primitive form of the full-sieve
+    enumeration."""
     s = math.isqrt(D)
-    seeds = oracle._reduced_forms_raw(D, s)
-    assert sorted(map(IndefiniteForm._make, seeds)) == reduced_forms(D)
-    return oracle._cycles_from(D, s, seeds, ())
+    cycle_of, reps = {}, []
+    for f in _reduced_forms_by_full_sieve(D, s):
+        if f not in cycle_of and math.gcd(*f) == 1:
+            oracle._walk(f, D, s, cycle_of, reps)
+    b0 = D & 1
+    c0 = (b0 - D) // 4
+    principal = cycle_of[oracle._reduce(1, b0, c0, D, s)]
+    sign = cycle_of[oracle._reduce(-1, b0, -c0, D, s)]
+    return oracle._Cycles(D, s, cycle_of, reps, principal, sign)
 
 
 def _assert_builders_agree(D):
     ref = _enumerated_cycles(D)
     new = oracle._cycles(D)
-    primitive = {tuple(f) for f in reduced_forms(D) if math.gcd(*f) == 1}
+    primitive = {
+        f for f in _reduced_forms_by_full_sieve(D, ref.s) if math.gcd(*f) == 1
+    }
     assert set(ref.cycle_of) == primitive, D
     for f, cid in ref.cycle_of.items():
         assert ref.cycle_of[oracle._rho(*f, D, ref.s)] == cid, (D, f)
@@ -337,64 +366,48 @@ def test_classes_are_the_least_reduced_form_of_each_class_ascending():
 def test_builders_agree_where_the_prime_bound_is_tiny(D):
     s = math.isqrt(D)
     assert s // 2 + 1 <= 3
-    assert oracle._prime_forms(D, s) is not None
     _assert_builders_agree(D)
 
 
 def test_builders_agree_on_every_discriminant_below_10000():
-    # fundamental D go through the closure, the others through the walk of
-    # the enumeration; the prime loop's fundamental test decides which
+    # fundamental or not, every D goes through the generator closure
     for D in valid_discriminants(10000):
-        s = math.isqrt(D)
-        assert (oracle._prime_forms(D, s) is not None) == is_fundamental(D), D
         _assert_builders_agree(D)
 
 
+# conductors with high prime powers and with many primes
+DEEP_CONDUCTORS = (2**14 * 13, 3**10 * 5, 16 * 9 * 25 * 49 * 13)
+
+
 def test_builders_agree_on_large_fundamental_discriminants():
+    # and on as many non-fundamental D of the same range, and deep conductors
     rng = random.Random(20260)
     sample = []
     while len(sample) < 20:
         D = rng.randrange(5 * 10**5, 4 * 10**6)
         if math.isqrt(D) ** 2 != D and is_fundamental(D):
             sample.append(D)
-    for D in sample:
+    while len(sample) < 40:
+        D = rng.randrange(5 * 10**5, 4 * 10**6)
+        if D % 4 in (0, 1) and math.isqrt(D) ** 2 != D and not is_fundamental(D):
+            sample.append(D)
+    for D in sample + list(DEEP_CONDUCTORS):
         _assert_builders_agree(D)
 
 
-def _reduced_forms_by_full_sieve(D, s):
-    """The reduced-form enumeration as it was with a sieve of D/4 + 1
-    entries: the divisors of each (D - b^2)/4 read off its
-    smallest-prime-factor chain."""
-    spf = arith.spf_table(D // 4 + 1)
-    out = []
-    for b in range(2 - (D & 1), s + 1, 2):
-        n = m = (D - b * b) // 4
-        divs = [1]
-        while m > 1:
-            p, e = spf[m], 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            divs += [d * p**k for d in divs for k in range(1, e + 1)]
-        for a in divs:
-            if s - b + 1 <= 2 * a <= s + b:
-                out += [(a, b, -(n // a)), (-a, b, n // a)]
-    return out
-
-
 def test_reduced_form_enumeration_as_with_the_full_sieve():
-    # the same forms in the same order; the walk of a non-fundamental D
-    # seeds from this list, and the reference cycles of the tests above too
+    # reduced_forms reads the cycles of D / g^2 for every content g
     for D in valid_discriminants(6000):
         s = math.isqrt(D)
-        assert oracle._reduced_forms_raw(D, s) == _reduced_forms_by_full_sieve(D, s), D
+        want = sorted(map(IndefiniteForm._make, _reduced_forms_by_full_sieve(D, s)))
+        assert reduced_forms(D) == want, D
 
 
 def test_classgroup_of_non_fundamental_discriminants_as_with_the_full_sieve(
     monkeypatch,
 ):
-    # the documents a non-fundamental D prints come from walking the
-    # reduced-form enumeration
+    # the documents of a non-fundamental D are those of the group built
+    # over the cycles of the full-sieve enumeration
     def documents():
         out = io.StringIO()
         for D in valid_discriminants(6000):
@@ -404,8 +417,19 @@ def test_classgroup_of_non_fundamental_discriminants_as_with_the_full_sieve(
         return out.getvalue()
 
     got = documents()
-    monkeypatch.setattr(oracle, "_reduced_forms_raw", _reduced_forms_by_full_sieve)
+    def reference(quotient):
+        return lambda D: oracle.FormClassGroup(_enumerated_cycles(D), quotient)
+
+    monkeypatch.setattr(cli, "narrow_class_group", reference(False))
+    monkeypatch.setattr(cli, "ordinary_class_group", reference(True))
     assert got == documents()
+
+
+def _conductor_primes(D):
+    """The primes dividing the conductor of the discriminant D."""
+    return [
+        p for p, _ in factorize(D) if (D % 16 in (0, 4) if p == 2 else D % (p * p) == 0)
+    ]
 
 
 def test_prime_forms_are_the_non_inert_primes_up_to_the_bound():
@@ -421,6 +445,33 @@ def test_prime_forms_are_the_non_inert_primes_up_to_the_bound():
             assert b * b - 4 * p * c == D, (D, p)
             if 4 * p * p < D and b > 0:
                 assert oracle._is_reduced(p, b, c, D, s), (D, p)
+    # a non-fundamental D keeps the prime forms of the primes off its
+    # conductor and adds every primitive (p^k, b) of each prime on it
+    for D in (45, 80, 400000020, *DEEP_CONDUCTORS):
+        s = math.isqrt(D)
+        bound = s // 2 + 1
+        gens = oracle._prime_forms(D, s)
+        on = _conductor_primes(D)
+        assert on and not is_fundamental(D), D
+        for a, b, c in gens:
+            assert b * b - 4 * a * c == D, (D, a, b)
+            assert math.gcd(math.gcd(a, b), c) == 1, (D, a, b)
+        assert [a for a, _, _ in gens if all(a % p for p in on)] == [
+            p
+            for p in range(2, bound + 1)
+            if arith.is_prime(p) and p not in on and arith.kronecker(D, p) != -1
+        ], D
+        for p in on:
+            q = p
+            while q <= bound:
+                want = {
+                    b
+                    for b in range(2 * q)
+                    if (b * b - D) % (4 * q) == 0
+                    and math.gcd(math.gcd(q, b), (b * b - D) // (4 * q)) == 1
+                }
+                assert {b % (2 * q) for a, b, _ in gens if a == q} == want, (D, q)
+                q *= p
 
 
 def test_bounded_summary_cache_leaves_the_verify_document_unchanged(monkeypatch):
