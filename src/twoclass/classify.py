@@ -31,7 +31,6 @@ from .arith import (
     doubled,
     is_prime,
     kronecker,
-    two_power_residue_test,
 )
 from .biquad import (
     biquad_field,
@@ -125,18 +124,6 @@ def stable_rank_type(d) -> Optional[int]:
         if all(r in (3, 7) for r in res) and res.count(7) <= 1:
             return 3
     return None
-
-
-def rank_pattern_tension(d) -> bool:
-    """Type (1) with a prime = 1 (mod 8) that fails the 2-power residue
-    obstruction: the congruence pattern then promises first-layer rank 2
-    while the rank formula gives 3.  Reported, never silently resolved.
-    """
-    fs = as_factored(d)
-    if stable_rank_type(fs) != 1:
-        return False
-    ones = [p for p in fs.primes if p % 8 == 1]
-    return any(not two_power_residue_test(p) for p in ones)
 
 
 # --- classifiers 2 and 3: symbol conditions --------------------------------
@@ -587,7 +574,9 @@ def predict(d) -> PredictionReport:
     rank_kp = Claim(genus_rank(doubled(fs)), "genus field of Q(sqrt(2d))")
     rank_k1 = Claim(first_layer_rank(fs), "first-layer rank formula")
     pattern = stable_rank_type(fs)
-    if pattern == 1 and rank_pattern_tension(fs):
+    # pattern (1) promises rank 2; the rank formula gives 3 exactly when its
+    # prime = 1 (mod 8) fails the 2-power residue obstruction
+    if pattern == 1 and rank_k1.value != 2:
         flags.append(
             "rank pattern (1) vs first-layer rank formula: a prime = 1 (mod 8) "
             "fails the 2-power residue obstruction, rank formula gives "

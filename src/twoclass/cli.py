@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import itertools
 import json
 import sys
 
@@ -47,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    """The argparse type of the limits and the thread count."""
+    """The argparse type of the limits."""
     try:
         value = int(text)
     except ValueError:
@@ -138,25 +137,6 @@ def _row_for(d, do_verify: bool, oracle_limit: int, shape: str | None) -> dict |
     }
 
 
-def _map_rows(ds, do_verify, oracle_limit, threads, shape):
-    if threads <= 1:
-        return [_row_for(d, do_verify, oracle_limit, shape) for d in ds]
-    # imported here: multiprocessing adds 10-30 ms to every start of the CLI
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(
-            pool.map(
-                _row_for,
-                ds,
-                itertools.repeat(do_verify),
-                itertools.repeat(oracle_limit),
-                itertools.repeat(shape),
-                chunksize=32,
-            )
-        )
-
-
 # --- subcommands ------------------------------------------------------------
 
 
@@ -178,8 +158,11 @@ def _cmd_classify(args, out) -> int:
     return code
 
 
-def _sweep_rows(args, do_verify: bool, shape: str | None = None) -> list[dict]:
-    """Rows for every odd square-free d in [--min, --max) of the given shape."""
+def _sweep_rows(args, do_verify: bool, shape: str | None = None):
+    """Rows for every odd square-free d in [--min, --max) of the given shape.
+
+    The range is checked at once; the rows are built as they are consumed.
+    """
     if args.max <= args.min:
         raise UsageError("--max must exceed --min")
     if args.max > SQRT_SIEVE_LIMIT:
@@ -187,12 +170,12 @@ def _sweep_rows(args, do_verify: bool, shape: str | None = None) -> list[dict]:
     # lazily: each field is predicted while the primality answers for its
     # primes are fresh in arith's memo, and no sweep holds all its fields
     ds = squarefree_range(max(args.min, 3) | 1, args.max, 2)
-    rows = _map_rows(ds, do_verify, args.oracle_limit, args.threads, shape)
-    return [r for r in rows if r is not None]
+    rows = (_row_for(d, do_verify, args.oracle_limit, shape) for d in ds)
+    return (r for r in rows if r is not None)
 
 
 def _cmd_enumerate(args, out) -> int:
-    rows = _sweep_rows(args, args.verify, args.shape)
+    rows = list(_sweep_rows(args, args.verify, args.shape))
     mismatches = [m for r in rows for m in r["mismatches"]]
     if args.csv:
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
@@ -249,27 +232,26 @@ def _cmd_find_primes(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    rows = _sweep_rows(args, True)
-    mismatches = [
-        {"d": r["row"]["d"], "checks": r["mismatches"]}
-        for r in rows
-        if r["mismatches"]
-    ]
-    checked = sum(1 for r in rows if r["row"]["oracle_status"] == "ok")
+    # one pass that keeps counts, findings and mismatches, and no row
+    fields = verified_ok = out_of_range = 0
+    findings, mismatches = [], []
+    for r in _sweep_rows(args, True):
+        d, status = r["row"]["d"], r["row"]["oracle_status"]
+        fields += 1
+        verified_ok += status == "ok"
+        out_of_range += status == "out-of-range"
+        if r["findings"]:
+            findings.append({"d": d, "findings": r["findings"]})
+        if r["mismatches"]:
+            mismatches.append({"d": d, "checks": r["mismatches"]})
     doc = _document(
         "verify",
         {"min": args.min, "max": args.max, "oracle_limit": args.oracle_limit},
         {
-            "fields": len(rows),
-            "verified_ok": checked,
-            "out_of_range": sum(
-                1 for r in rows if r["row"]["oracle_status"] == "out-of-range"
-            ),
-            "findings": [
-                {"d": r["row"]["d"], "findings": r["findings"]}
-                for r in rows
-                if r["findings"]
-            ],
+            "fields": fields,
+            "verified_ok": verified_ok,
+            "out_of_range": out_of_range,
+            "findings": findings,
         },
         mismatches,
     )
@@ -351,7 +333,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--csv", action="store_true")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--oracle-limit", type=_positive_int, default=DEFAULT_ORACLE_LIMIT)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("find-primes", help="prime tuple with prescribed symbols")
@@ -366,7 +347,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--min", type=int, default=3)
     p.add_argument("--max", type=int, default=20000)
     p.add_argument("--oracle-limit", type=_positive_int, default=DEFAULT_ORACLE_LIMIT)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("unit", help="fundamental unit of Q(sqrt(d))")

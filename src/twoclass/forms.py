@@ -416,7 +416,11 @@ class FormClassGroup:
             if self._pos[cid] < 0:
                 self._pos[cid] = len(self._members)
                 if len(self._kernel) == 2:
-                    self._pos[cycles.mul(cid, cycles.sign)] = len(self._members)
+                    # (a, b, c) composed with the sign form (-1, b, -ac), united
+                    # with it, is (-a, b, -c) (Cohen, GTM 138, 5.2), reduced
+                    # as (a, b, c) is: reducedness reads only |a|
+                    a, b, c = cycles.reps[cid]
+                    self._pos[cycles.cycle_of[(-a, b, -c)]] = len(self._members)
                 self._members.append(cid)
         self.classes = tuple(IndefiniteForm(*cycles.reps[c]) for c in self._members)
         self.order = len(self._members)

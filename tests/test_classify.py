@@ -17,7 +17,6 @@ from twoclass.classify import (
     find_prime_tuple,
     predict,
     prime_tuples_up_to,
-    rank_pattern_tension,
     shape_of,
     spec_for_ppqq_condition,
     spec_for_qqqq_condition,
@@ -78,7 +77,7 @@ def test_rank_pattern_iff_rank_formulas():
             continue
         # every exception must be a flagged type-(1) tension
         assert matches and not ranks, d
-        assert rank_pattern_tension(fs), d
+        assert any("obstruction" in flag for flag in predict(fs).flags), d
         assert first_layer_rank(fs) == 3, d
         tensions.append(d)
     # the tension set is nonempty in this range (113*5*13 = 7345 is one)
@@ -286,7 +285,7 @@ def test_tension_field_kuroda_consistency():
     from twoclass.biquad import biquad_field, hasse_unit_index, kuroda_order
     from twoclass.forms import class_group_summary
 
-    assert rank_pattern_tension(7345)
+    assert any("obstruction" in flag for flag in predict(7345).flags)
     assert first_layer_rank(7345) == 3
     Q = hasse_unit_index(biquad_field(7345))
     order = kuroda_order(

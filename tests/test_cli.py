@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -80,14 +81,6 @@ def test_enumerate_deterministic():
     assert text1 == text2
 
 
-def test_enumerate_identical_across_parallelism():
-    _, _, sequential = run_json(["enumerate", "--min", "3", "--max", "400"])
-    _, _, parallel = run_json(
-        ["enumerate", "--min", "3", "--max", "400", "--threads", "3"]
-    )
-    assert sequential == parallel
-
-
 def test_enumerate_sieves_only_the_window(monkeypatch):
     # the sweep's sieve holds the primes up to sqrt(--max), not --max
     # entries; the one prime of a d beyond it is tested once, as the sieve
@@ -101,13 +94,13 @@ def test_enumerate_sieves_only_the_window(monkeypatch):
     # one test at most per odd square-free d: the even d are never factored
     odd = list(squarefree_range(1000001, 1002000, 2))
     assert tests.misses <= len(odd)
-    # only the 2-power residue tests (of the first-layer rank and of the
-    # pattern (1) flag) check a prime again, and only a prime = 1 (mod 8)
-    assert tests.hits <= 2 * sum(1 for fs in odd if fs.primes[-1] % 8 == 1)
+    # only the 2-power residue test of the first-layer rank checks a prime
+    # again, and only a prime = 1 (mod 8)
+    assert tests.hits <= sum(1 for fs in odd if fs.primes[-1] % 8 == 1)
 
 
 def test_cli_import_loads_no_process_pool():
-    # only --threads > 1 needs a pool; every CLI start would pay for it
+    # sweeps run in process; a pool import would cost every CLI start
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     probe = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import twoclass.cli; "
@@ -127,7 +120,7 @@ def test_cli_import_builds_no_parser_and_imports_nothing_new():
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     probe = (
         f"import sys; sys.path.insert(0, {str(src)!r}); "
-        "import argparse, csv, functools, itertools, json; "
+        "import argparse, csv, functools, json; "
         "import twoclass.arith, twoclass.classify, twoclass.forms; "
         "import twoclass.quadfield, twoclass.redei; "
         "before = set(sys.modules); import twoclass.cli as cli; "
@@ -282,20 +275,27 @@ def test_verify_mismatch_exit_2(monkeypatch):
     assert doc["mismatches"]
 
 
-def test_verify_mismatch_exit_2_through_the_pool(monkeypatch):
-    # the forked workers inherit the patched verify_against_oracle
-    _fail_every_check(monkeypatch)
-    code, doc, _ = run_json(["verify", "--max", "20", "--threads", "2"])
-    assert code == 2
-    assert len(doc["mismatches"]) == doc["results"]["fields"] == 8
+def test_verify_holds_no_rows(monkeypatch):
+    # verify folds each row into its counts and lists as it comes: when a
+    # row is built, at most the one before it is still alive
+    class Row(dict):
+        pass
 
+    refs = []
+    most_alive = 0
+    real = cli._row_for
 
-def test_verify_identical_across_parallelism():
-    # the workers get the sieve's FactoredSquarefree objects
-    one = run_json(["verify", "--max", "400", "--threads", "1"])
-    two = run_json(["verify", "--max", "400", "--threads", "2"])
-    assert one[0] == two[0] == 0
-    assert two[2] == one[2]
+    def tracked(*args):
+        nonlocal most_alive
+        most_alive = max(most_alive, sum(1 for ref in refs if ref() is not None))
+        row = Row(real(*args))
+        refs.append(weakref.ref(row))
+        return row
+
+    monkeypatch.setattr(cli, "_row_for", tracked)
+    assert cli.run(["verify", "--max", "2000"], io.StringIO()) == 0
+    assert len(refs) > 800
+    assert most_alive <= 1
 
 
 def test_oracle_range_exit_3():
@@ -388,8 +388,10 @@ def test_sweeps_reject_empty_range_and_bad_threads(capsys):
         for extra in (
             ["--min", "10", "--max", "5"],
             ["--min", "10", "--max", "10"],
+            # --threads is no option: an unknown option is a usage error
             ["--max", "50", "--threads", "0"],
             ["--max", "50", "--threads", "-2"],
+            ["--max", "50", "--threads", "2"],
             # past the bound on the window sieve, before any sieve is built
             ["--max", str(10**18)],
             ["--min", str(2**64), "--max", str(2**64 + 100)],

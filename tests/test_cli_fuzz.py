@@ -44,15 +44,11 @@ small_values = st.sampled_from([v for v in NUMBERS + JUNK if v != BIG_PRIME])
 
 
 def _sweep(command):
-    # --max stays small and --threads at most 1: no sweep runs long, and
-    # none starts a process pool
+    # --max stays small: no sweep runs long
     extras = st.one_of(
         st.just([]),
         st.tuples(st.just("--min"), values).map(list),
         st.tuples(st.just("--oracle-limit"), values).map(list),
-        st.tuples(st.just("--threads"), st.sampled_from(["-5", "0", "1", "abc"])).map(
-            list
-        ),
         st.tuples(st.just("--shape"), st.sampled_from(["p,p,q,q", "zz", ""])).map(list),
     )
     return st.builds(

@@ -347,6 +347,7 @@ def _assert_builders_agree(D):
         assert got.classes == want.classes, (D, quotient)
         assert got.structure == want.structure, (D, quotient)
         assert grp == two_sylow(want), (D, quotient)
+    return new
 
 
 def test_classes_are_the_least_reduced_form_of_each_class_ascending():
@@ -372,7 +373,12 @@ def test_builders_agree_where_the_prime_bound_is_tiny(D):
 def test_builders_agree_on_every_discriminant_below_10000():
     # fundamental or not, every D goes through the generator closure
     for D in valid_discriminants(10000):
-        _assert_builders_agree(D)
+        cycles = _assert_builders_agree(D)
+        # the sign partner of a class is its least form with a and c negated
+        assert all(
+            cycles.cycle_of[(-a, b, -c)] == cycles.mul(cid, cycles.sign)
+            for cid, (a, b, c) in enumerate(cycles.reps)
+        ), D
 
 
 # conductors with high prime powers and with many primes
