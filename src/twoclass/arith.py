@@ -19,8 +19,8 @@ over odd d never factors, nor tests the primality of, an even one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class NotSquarefree(ValueError):
@@ -185,36 +185,37 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return sorted(out.items())
 
 
-@dataclass(frozen=True)
-class FactoredSquarefree:
-    """A square-free positive integer together with its prime divisors."""
-
+class _FactoredSquarefreeFields(NamedTuple):
     value: int
     primes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.value < 1:
+
+class FactoredSquarefree(_FactoredSquarefreeFields):
+    """A square-free positive integer together with its prime divisors."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, primes: tuple[int, ...]) -> FactoredSquarefree:
+        if value < 1:
             raise ValueError("value must be positive")
         prod = 1
         last = 1
-        for p in self.primes:
+        for p in primes:
             if p <= last:
                 raise ValueError("primes must be strictly increasing")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             last = p
             prod *= p
-        if prod != self.value:
-            raise NotSquarefree(f"{self.value} != product of {self.primes}")
+        if prod != value:
+            raise NotSquarefree(f"{value} != product of {primes}")
+        return tuple.__new__(cls, (value, primes))
 
     @classmethod
     def _trusted(cls, value: int, primes: tuple[int, ...]) -> FactoredSquarefree:
-        """Build without __post_init__, for a caller whose primes hold by
+        """Build without the checks, for a caller whose primes hold by
         construction."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "value", value)
-        object.__setattr__(out, "primes", primes)
-        return out
+        return tuple.__new__(cls, (value, primes))
 
     def __int__(self) -> int:
         return self.value

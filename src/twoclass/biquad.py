@@ -11,7 +11,7 @@ its vectors is constant (Kubota, Nagoya Math. J. 10, 1956).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import (
     FactoredSquarefree,
@@ -36,15 +36,19 @@ class Inconsistent(ValueError):
     """Rank and group order fit no abelian 2-group."""
 
 
-@dataclass(frozen=True)
-class BiquadField:
-    """Q(sqrt(2), sqrt(d)) for odd square-free d >= 3."""
-
+class _BiquadFieldFields(NamedTuple):
     d: FactoredSquarefree
 
-    def __post_init__(self) -> None:
-        if self.d.value % 2 == 0 or self.d.value < 3:
+
+class BiquadField(_BiquadFieldFields):
+    """Q(sqrt(2), sqrt(d)) for odd square-free d >= 3."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: FactoredSquarefree) -> BiquadField:
+        if d.value % 2 == 0 or d.value < 3:
             raise EvenRadicand("need odd square-free d >= 3")
+        return tuple.__new__(cls, (d,))
 
 
 def biquad_field(d) -> BiquadField:

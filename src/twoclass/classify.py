@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .arith import (
     FactoredSquarefree,
@@ -66,8 +65,7 @@ DEFAULT_ORACLE_LIMIT = 2_000_000
 # --- field shapes (ramification patterns with 3 or 4 ramified primes) -----
 
 
-@dataclass(frozen=True)
-class FieldShape:
+class FieldShape(NamedTuple):
     ramified_prime_count: int
     pattern: tuple[str, ...]  # roles of the ramified primes, "2" / "p" / "q"
     d_mod_4: int
@@ -268,26 +266,33 @@ def structure_condition_qqqq(d) -> Optional[ConditionMatch]:
 # --- prime tuple search (progression scans) ---------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolSpec:
+class _SymbolSpecFields(NamedTuple):
+    residues: tuple[int, ...]
+    symbols: tuple[tuple[tuple[int, int], int], ...] = ()
+
+
+class SymbolSpec(_SymbolSpecFields):
     """Target residues mod 8 and Legendre symbols (x_k / x_j) = eps for j < k.
 
     symbols maps index pairs (k, j) with 1 <= j < k <= t to +/-1; missing
     pairs are unconstrained.
     """
 
-    residues: tuple[int, ...]
-    symbols: tuple[tuple[tuple[int, int], int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.residues:
+    def __new__(
+        cls,
+        residues: tuple[int, ...],
+        symbols: tuple[tuple[tuple[int, int], int], ...] = (),
+    ) -> SymbolSpec:
+        if not residues:
             raise ValueError("at least one residue required")
-        for a in self.residues:
+        for a in residues:
             if a not in (1, 3, 5, 7):
                 raise ValueError(f"residue {a} is not an odd class mod 8")
-        t = len(self.residues)
+        t = len(residues)
         seen = set()
-        for (k, j), eps in self.symbols:
+        for (k, j), eps in symbols:
             if not (1 <= j < k <= t):
                 raise ValueError(f"symbol index ({k},{j}) out of range")
             if eps not in (-1, 1):
@@ -295,6 +300,7 @@ class SymbolSpec:
             if (k, j) in seen:
                 raise ValueError(f"duplicate symbol ({k},{j})")
             seen.add((k, j))
+        return tuple.__new__(cls, (residues, symbols))
 
     def symbol(self, k: int, j: int) -> Optional[int]:
         for key, eps in self.symbols:
@@ -468,8 +474,7 @@ def _json_value(v):
     return list(v.factors) if isinstance(v, Abelian2Group) else v
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     value: object
     source: str
     direction: str = "computed"  # "computed" | "iff" | "if"
@@ -482,8 +487,7 @@ class Claim:
         }
 
 
-@dataclass(frozen=True)
-class TowerClaim:
+class TowerClaim(NamedTuple):
     """Stable first-layer data propagated up the tower by Fukuda's theorem."""
 
     rank: int
@@ -500,8 +504,7 @@ class TowerClaim:
         }
 
 
-@dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(NamedTuple):
     factored: FactoredSquarefree  # d and its primes, as predict received them
     shape: Optional[FieldShape]
     rank_K: Claim
@@ -648,8 +651,7 @@ def _check_report_consistency(report: PredictionReport) -> None:
 # --- oracle verification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(NamedTuple):
     name: str
     predicted: object
     observed: object
@@ -667,8 +669,7 @@ class OracleCheck:
         }
 
 
-@dataclass(frozen=True)
-class OracleComparison:
+class OracleComparison(NamedTuple):
     d: int
     checks: tuple[OracleCheck, ...]
     findings: tuple[str, ...] = ()

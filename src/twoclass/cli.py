@@ -175,26 +175,30 @@ def _sweep_rows(args, do_verify: bool, shape: str | None = None):
 
 
 def _cmd_enumerate(args, out) -> int:
-    rows = list(_sweep_rows(args, args.verify, args.shape))
-    mismatches = [m for r in rows for m in r["mismatches"]]
+    rows = _sweep_rows(args, args.verify, args.shape)
     if args.csv:
-        writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
+        # each row is written as it comes; its dict is in CSV_COLUMNS order
+        writer = csv.writer(out)
+        writer.writerow(CSV_COLUMNS)
+        mismatched = 0
         for r in rows:
-            writer.writerow(r["row"])
-    else:
-        doc = _document(
-            "enumerate",
-            {
-                "min": args.min,
-                "max": args.max,
-                "shape": args.shape,
-                "verify": args.verify,
-            },
-            [r["row"] for r in rows],
-            mismatches,
-        )
-        _emit(doc, out)
+            writer.writerow(r["row"].values())
+            mismatched += bool(r["mismatches"])
+        return 2 if mismatched else 0
+    rows = list(rows)
+    mismatches = [m for r in rows for m in r["mismatches"]]
+    doc = _document(
+        "enumerate",
+        {
+            "min": args.min,
+            "max": args.max,
+            "shape": args.shape,
+            "verify": args.verify,
+        },
+        [r["row"] for r in rows],
+        mismatches,
+    )
+    _emit(doc, out)
     return 2 if mismatches else 0
 
 

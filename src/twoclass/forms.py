@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -357,20 +356,24 @@ def _chain_factors(p: int, chain: tuple[int, ...]) -> list[int]:
 # --- groups ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Abelian2Group:
-    """A finite abelian 2-group as a non-decreasing list of 2-power factors."""
-
+class _Abelian2GroupFields(NamedTuple):
     factors: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+
+class Abelian2Group(_Abelian2GroupFields):
+    """A finite abelian 2-group as a non-decreasing list of 2-power factors."""
+
+    __slots__ = ()
+
+    def __new__(cls, factors: tuple[int, ...]) -> Abelian2Group:
         last = 2
-        for f in self.factors:
+        for f in factors:
             if f < 2 or f & (f - 1):
                 raise ValueError("factors must be powers of 2, each >= 2")
             if f < last:
                 raise ValueError("factors must be non-decreasing")
             last = f
+        return tuple.__new__(cls, (factors,))
 
     @property
     def rank(self) -> int:

@@ -21,7 +21,7 @@ Gal(K/Q) is 2^rank A(K), since n = 2 exactly when some q divides d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import as_factored, factorize, is_prime
 from .quadfield import QuadraticField, quadratic_field
@@ -83,8 +83,7 @@ def _radicand(prime_disc: int) -> int:
     return {-4: -1, 8: 2, -8: -2}.get(prime_disc, prime_disc)
 
 
-@dataclass(frozen=True)
-class GenusField:
+class GenusField(NamedTuple):
     """A multiquadratic field Q(sqrt(r1), ..., sqrt(rt)) over Q."""
 
     radicands: tuple[int, ...]

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import (
     as_factored,
@@ -39,8 +39,7 @@ class SplitType(enum.Enum):
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class QuadraticField:
+class QuadraticField(NamedTuple):
     """Q(sqrt(d)) for square-free d >= 2."""
 
     d: int
@@ -152,30 +151,46 @@ def sqrt_in_quadratic(a: Fraction, b: Fraction, d: int):
     return relative_sqrt((Fraction(a), Fraction(b)), d, sqrt_rational)
 
 
-@dataclass(frozen=True)
 class QuadInteger:
     """An algebraic integer a + b*sqrt(d) of Q(sqrt(d)).
 
     Coordinates are exact rationals with denominator 1, or denominator 2
-    (both together) when d = 1 (mod 4).
+    (both together) when d = 1 (mod 4).  Immutable, and no tuple: * and **
+    are field arithmetic, and + is not defined.
     """
 
-    a: Fraction
-    b: Fraction
-    field: QuadraticField
+    __slots__ = ("a", "b", "field")
 
-    def __post_init__(self) -> None:
-        a, b = Fraction(self.a), Fraction(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __init__(self, a: Fraction, b: Fraction, field: QuadraticField) -> None:
+        a, b = Fraction(a), Fraction(b)
         if a.denominator not in (1, 2) or b.denominator not in (1, 2):
             raise ValueError("coordinates must have denominator 1 or 2")
         half = a.denominator == 2 or b.denominator == 2
         if half:
-            if self.field.d % 4 != 1:
+            if field.d % 4 != 1:
                 raise ValueError("half-integer coordinates need d = 1 (mod 4)")
             if a.denominator != b.denominator:
                 raise ValueError("half-integrality must hold for both coordinates")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "field", field)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuadInteger is immutable: cannot assign {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QuadInteger is immutable: cannot delete {name}")
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadInteger):
+            return NotImplemented
+        return (self.a, self.b, self.field) == (other.a, other.b, other.field)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.field))
+
+    def __reduce__(self):
+        return QuadInteger, (self.a, self.b, self.field)
 
     def __mul__(self, other: "QuadInteger") -> "QuadInteger":
         if other.field != self.field:
@@ -220,8 +235,7 @@ def is_square_in_K(x: QuadInteger) -> bool:
     return sqrt_in_quadratic(x.a, x.b, x.field.d) is not None
 
 
-@dataclass(frozen=True)
-class FundamentalUnit:
+class FundamentalUnit(NamedTuple):
     """The fundamental unit > 1, with its norm and CF period length."""
 
     value: QuadInteger

@@ -9,14 +9,13 @@ exactly when #S2 = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import as_factored, kronecker
 from .genus import prime_discriminants
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """D = D1 * D2 with each half a discriminant and |D1| < |D2|."""
 
     D1: int

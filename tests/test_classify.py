@@ -350,7 +350,7 @@ def test_report_carries_the_factorization_it_was_given(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("the primes were already tested")
 
-    monkeypatch.setattr("twoclass.arith.FactoredSquarefree.__post_init__", boom)
+    monkeypatch.setattr("twoclass.arith.FactoredSquarefree.__new__", boom)
     monkeypatch.setattr("twoclass.genus.starred_prime", boom)
     assert predict(fs) == report
     assert verify_against_oracle(report).ok

@@ -100,18 +100,35 @@ def test_enumerate_sieves_only_the_window(monkeypatch):
 
 
 def test_cli_import_loads_no_process_pool():
-    # sweeps run in process; a pool import would cost every CLI start
+    # sweeps run in process; a pool import would cost every CLI start, and
+    # so would dataclasses, which loads inspect, ast, dis and tokenize
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     probe = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import twoclass.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', "
+        "'dataclasses') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_loads_every_module_but_the_cli():
+    # the package init is eager: the benchmark's tracer reads every module
+    # from sys.modules right after `import twoclass`
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import twoclass; "
+        "print(sorted(m[9:] for m in sys.modules if m.startswith('twoclass.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    modules = "arith biquad classify forms genus quadfield redei".split()
+    assert proc.stdout.strip() == str(modules)
 
 
 def test_cli_import_builds_no_parser_and_imports_nothing_new():
@@ -275,9 +292,9 @@ def test_verify_mismatch_exit_2(monkeypatch):
     assert doc["mismatches"]
 
 
-def test_verify_holds_no_rows(monkeypatch):
-    # verify folds each row into its counts and lists as it comes: when a
-    # row is built, at most the one before it is still alive
+def _rows_alive(monkeypatch, argv):
+    """(rows built, most rows alive when a row is built) for one run."""
+
     class Row(dict):
         pass
 
@@ -293,8 +310,23 @@ def test_verify_holds_no_rows(monkeypatch):
         return row
 
     monkeypatch.setattr(cli, "_row_for", tracked)
-    assert cli.run(["verify", "--max", "2000"], io.StringIO()) == 0
-    assert len(refs) > 800
+    assert cli.run(argv, io.StringIO()) == 0
+    return len(refs), most_alive
+
+
+def test_verify_holds_no_rows(monkeypatch):
+    # verify folds each row into its counts and lists as it comes: when a
+    # row is built, at most the one before it is still alive
+    built, most_alive = _rows_alive(monkeypatch, ["verify", "--max", "2000"])
+    assert built > 800
+    assert most_alive <= 1
+
+
+def test_enumerate_csv_streams_its_rows(monkeypatch):
+    # enumerate --csv writes each row as it comes, so it holds no sweep
+    argv = ["enumerate", "--max", "2000", "--verify", "--csv"]
+    built, most_alive = _rows_alive(monkeypatch, argv)
+    assert built > 800
     assert most_alive <= 1
 
 

@@ -1,0 +1,111 @@
+"""The package's records are immutable tuples, validated on construction.
+
+These pin what a record promises its callers: the exception class a bad
+constructor argument raises, no assignment to a field, hashes that agree
+with equality, and no tuple arithmetic on QuadInteger.
+"""
+
+import copy
+from fractions import Fraction
+
+import pytest
+
+from twoclass.arith import FactoredSquarefree, NotSquarefree, doubled, factor_squarefree
+from twoclass.biquad import BiquadField, EvenRadicand, biquad_field
+from twoclass.classify import SymbolSpec, predict, shape_of, verify_against_oracle
+from twoclass.forms import Abelian2Group
+from twoclass.genus import genus_field
+from twoclass.quadfield import QuadInteger, fundamental_unit, quadratic_field
+from twoclass.redei import s1_decompositions
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: FactoredSquarefree(0, ()), ValueError),
+        (lambda: FactoredSquarefree(15, (5, 3)), ValueError),
+        (lambda: FactoredSquarefree(9, (9,)), ValueError),
+        (lambda: FactoredSquarefree(45, (3, 5)), NotSquarefree),
+        (lambda: Abelian2Group((3,)), ValueError),
+        (lambda: Abelian2Group((4, 2)), ValueError),
+        (lambda: SymbolSpec(()), ValueError),
+        (lambda: SymbolSpec((5, 2)), ValueError),
+        (lambda: SymbolSpec((5, 7), (((1, 2), 1),)), ValueError),
+        (lambda: SymbolSpec((5, 7), (((2, 1), 0),)), ValueError),
+        (lambda: SymbolSpec((5, 7), (((2, 1), 1), ((2, 1), -1))), ValueError),
+        (lambda: BiquadField(factor_squarefree(10)), EvenRadicand),
+        (lambda: BiquadField(factor_squarefree(1)), EvenRadicand),
+        (lambda: QuadInteger(Fraction(1, 3), 0, quadratic_field(5)), ValueError),
+        (lambda: QuadInteger(Fraction(1, 2), Fraction(1, 2), quadratic_field(7)), ValueError),
+    ],
+)
+def test_validated_constructors_raise_their_exception_class(build, error):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+
+
+def _one_of_each():
+    # 1365 matches a ppqq condition, and a ConditionMatch has no hash, so
+    # the report is that of 1105
+    fs = factor_squarefree(1365)
+    report = predict(fs)
+    comparison = verify_against_oracle(report)
+    return [
+        fs,
+        Abelian2Group((2, 4)),
+        SymbolSpec.of((5, 7), {(2, 1): -1}),
+        biquad_field(fs),
+        shape_of(fs),
+        report.structure_K,
+        report.tower,
+        predict(1105),
+        comparison.checks[-1],
+        comparison,
+        genus_field(1365),
+        quadratic_field(1365),
+        fundamental_unit(1365),
+        fundamental_unit(1365).value,
+        s1_decompositions(1365)[1],
+    ]
+
+
+def test_one_record_of_every_kind():
+    names = {type(r).__name__ for r in _one_of_each()}
+    assert len(names) == 15
+
+
+@pytest.mark.parametrize("record", _one_of_each(), ids=lambda r: type(r).__name__)
+def test_fields_cannot_be_assigned(record):
+    field = "a" if isinstance(record, QuadInteger) else record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+@pytest.mark.parametrize("record", _one_of_each(), ids=lambda r: type(r).__name__)
+def test_equal_records_hash_equally(record):
+    twin = copy.copy(record)
+    assert twin == record and twin is not record
+    assert hash(twin) == hash(record)
+
+
+def test_trusted_factorization_equals_the_validated_one():
+    fs = doubled(factor_squarefree(1365))
+    assert fs == FactoredSquarefree(2730, (2, 3, 5, 7, 13))
+    assert hash(fs) == hash(FactoredSquarefree(2730, (2, 3, 5, 7, 13)))
+
+
+def test_quad_integer_is_no_tuple():
+    x = fundamental_unit(5).value
+    with pytest.raises(TypeError):
+        x + x
+    with pytest.raises(TypeError):
+        2 * x
+    assert x * x == x**2
+    assert -x != x
+
+
+def test_a_group_is_not_its_factor_tuple():
+    assert Abelian2Group((2, 2)) != (2, 2)
+    assert Abelian2Group((2, 2)) == Abelian2Group((2, 2))
+    assert Abelian2Group((2, 2)) != Abelian2Group((2, 2, 2))
