@@ -5,9 +5,13 @@ modular square roots, local Hilbert symbols and the quartic residue
 obstruction test for 2 modulo primes p = 1 (mod 8).  Everything here is
 integer-exact; there is no floating point anywhere in this module.
 
-Primality reads the smallest-prime-factor sieve where it reaches and runs
-Miller-Rabin beyond it, with witness sets that are proven exact on their
-range: (2, 7, 61) below 4759123141 (Jaeschke, Math. Comp. 61, 1993) and the
+The smallest-prime-factor sieve (`spf_table`) is an array("I"), 4 bytes an
+entry, built by C-level slice assignment: each prime up to the square root
+of its length writes itself over its multiples from its square on, the
+largest prime first, so that the least prime of each composite is written
+last.  Primality reads that sieve where it reaches and runs Miller-Rabin
+beyond it, with witness sets that are proven exact on their range:
+(2, 7, 61) below 4759123141 (Jaeschke, Math. Comp. 61, 1993) and the
 first twelve primes below 2**64 (Sorenson-Webster); the last 1024 answers
 beyond the sieve are memoised.  Sweeps factor their window with a
 segmented sieve (`squarefree_range`): only the primes up to the square root
@@ -19,7 +23,9 @@ over odd d never factors, nor tests the primality of, an even one.
 from __future__ import annotations
 
 import math
+from array import array
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 
@@ -107,28 +113,44 @@ def _is_prime_beyond_sieve(n: int) -> bool:
 
 # --- factorization -------------------------------------------------------
 
-_spf: list[int] = []
+_spf: array = array("I")
 
 
-def spf_table(limit: int) -> list[int]:
-    """Smallest-prime-factor sieve, grown on demand and kept module-global."""
+def spf_table(limit: int) -> array:
+    """Smallest-prime-factor sieve, grown on demand and kept module-global.
+
+    The table is an array("I"), 4 bytes an entry, that starts as the identity
+    and is filled by slice assignment: each prime p <= isqrt(size - 1)
+    writes itself at p*p, p*p + p, ..., largest p first, so that the least
+    prime of each composite is written last.  An odd p steps by 2p, since
+    p = 2 comes last and writes every even entry.  Primes keep spf[p] == p.
+    """
     global _spf
     if len(_spf) <= limit:
         size = max(limit + 1, 2 * len(_spf), 1 << 12)
-        tbl = list(range(size))
-        for p in range(2, math.isqrt(size - 1) + 1):
-            if tbl[p] == p:
-                for q in range(p * p, size, p):
-                    if tbl[q] == q:
-                        tbl[q] = p
+        # the identity, allocated at its exact length and copied in blocks
+        # (array("I", range(size)) would overallocate by up to 1/16)
+        tbl = array("I", [0]) * size
+        block = 1 << 16
+        for lo in range(0, size, block):
+            tbl[lo : lo + block] = array("I", range(lo, min(lo + block, size)))
+        for p in reversed(primes_upto(math.isqrt(size - 1))):
+            step = p if p == 2 else 2 * p
+            tbl[p * p :: step] = array("I", [p]) * len(range(p * p, size, step))
         _spf = tbl
     return _spf
 
 
 def primes_upto(n: int) -> list[int]:
-    """The primes p <= n, read off the sieve."""
-    spf = spf_table(n)
-    return [p for p in range(2, n + 1) if spf[p] == p]
+    """The primes p <= n, from a bytearray sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    prime = bytearray(b"\x01") * (n + 1)
+    prime[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), prime))
 
 
 def _pollard_rho(n: int) -> int:
@@ -268,14 +290,15 @@ def squarefree_range(lo: int, hi: int, step: int = 1):
     range(lo, hi, step), step >= 1.
 
     A segmented sieve: the progression is sieved in blocks of _BLOCK terms
-    by the primes p <= isqrt(hi - 1), read off a sieve of that length.  A
-    block strikes the terms divisible by each p^2 and lists each p at the
-    terms it divides; both are arithmetic progressions in the block, found
-    by solving the linear congruence.  What is left of a square-free d
-    after its listed primes is 1 or a single prime above isqrt(hi - 1): two
-    such primes would multiply to more than hi - 1.  Every prime still
-    passes FactoredSquarefree's is_prime check, so step = 2 spares the
-    primality tests of the other parity.
+    by the primes p <= isqrt(hi - 1).  A block strikes the terms divisible
+    by each p^2 and lists each p at the terms it divides; both are
+    arithmetic progressions in the block, found by solving the linear
+    congruence.  What is left of a square-free d after its listed primes is
+    1 or a single prime above isqrt(hi - 1): two such primes would multiply
+    to more than hi - 1.  Every prime still passes FactoredSquarefree's
+    is_prime check, so step = 2 spares the primality tests of the other
+    parity; the smallest-prime-factor sieve is grown to isqrt(hi - 1)
+    first, so that the check reads it for the listed primes.
     """
     if step < 1:
         raise ValueError("squarefree_range needs step >= 1")
@@ -284,7 +307,9 @@ def squarefree_range(lo: int, hi: int, step: int = 1):
     count = len(range(lo, hi, step))
     if not count:
         return
-    primes = primes_upto(math.isqrt(hi - 1))
+    root = math.isqrt(hi - 1)
+    spf_table(root)
+    primes = primes_upto(root)
     for first in range(0, count, _BLOCK):
         n0 = lo + first * step
         size = min(_BLOCK, count - first)

@@ -3,8 +3,8 @@
 Subcommands: classify, enumerate, find-primes, verify, unit, classgroup,
 s1s2.  Output is a JSON report document (schema documented in
 docs/report-schema.md) or CSV rows for sweeps with --csv.  Exit codes:
-0 success, 1 usage error, 2 verification mismatch, 3 oracle range
-exceeded.
+0 success, 1 usage error (or stdout closed early), 2 verification
+mismatch, 3 oracle range exceeded.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 
 from .arith import BeyondPrimalityRange, NotSquarefree, squarefree_range
@@ -372,11 +373,12 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: list[str], out=None) -> int:
-    """Execute a command line; returns the exit code, never raises.
+    """Execute a command line; returns the exit code.
 
-    The parser is built on the first call and reused by every later call
-    of the process: parsing keeps no state between calls, and building it
-    costs about a millisecond.
+    Nothing but an error in writing to out is raised (main handles a
+    closed stdout).  The parser is built on the first call and reused by
+    every later call of the process: parsing keeps no state between calls,
+    and building it costs about a millisecond.
     """
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -405,7 +407,20 @@ def run(argv: list[str], out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        print(
+            "error: stdout was closed before the output was written",
+            file=sys.stderr,
+        )
+        # the interpreter flushes stdout again at exit, and the rest of the
+        # output would raise there too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

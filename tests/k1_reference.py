@@ -4,7 +4,9 @@ Hasse unit index is tested against.
 K1 is the relative quadratic extension Q(sqrt(2))(sqrt(d)), so quadfield's
 relative-quadratic product, sign and square root serve over Q(sqrt(2)) as
 they do over Q.  `reference_hasse_unit_index` finds Q(K1) by taking exact
-square roots of the signed unit products in K1.
+square roots of the signed unit products in K1.  Numbers are integer
+numerators over one denominator (4 in K1, an unreduced q in Q(sqrt(2))), so
+that only the square roots over Q build a Fraction.
 """
 
 from __future__ import annotations
@@ -26,72 +28,122 @@ from twoclass.quadfield import (
 
 
 class _F(tuple):
-    """u + v*sqrt(2) in F = Q(sqrt(2)), the base field of K1; rationals act as scalars."""
+    """(u + v*sqrt(2))/q in F = Q(sqrt(2)), the base field of K1: integers u
+    and v over one denominator q > 0, never reduced, so that no operation
+    normalises a Fraction.  Integers act as scalars."""
 
     __slots__ = ()
+
+    def __new__(cls, u: int, v: int, q: int = 1) -> "_F":
+        return tuple.__new__(cls, (u, v, q))
 
     def __bool__(self):
         return bool(self[0] or self[1])
 
+    def __eq__(self, y):
+        u, v, q = self
+        s, t, r = y
+        return u * r == s * q and v * r == t * q
+
     def __add__(self, y):
-        return _F((self[0] + y[0], self[1] + y[1]))
+        u, v, q = self
+        s, t, r = y
+        if q == r:
+            return _F(u + s, v + t, q)
+        return _F(u * r + s * q, v * r + t * q, q * r)
 
     def __sub__(self, y):
-        return _F((self[0] - y[0], self[1] - y[1]))
+        return self + y * -1
 
     def __mul__(self, y):
+        u, v, q = self
         if not isinstance(y, tuple):
-            return _F((self[0] * y, self[1] * y))
-        return _F(relative_mul(self, y, 2))
+            return _F(u * y, v * y, q)
+        s, t, r = y
+        return _F(*relative_mul((u, v), (s, t), 2), q * r)
 
     def __truediv__(self, y):
+        u, v, q = self
         if not isinstance(y, tuple):
-            return _F((self[0] / y, self[1] / y))
-        conj = _F((y[0], -y[1]))
-        return self * conj / (y * conj)[0]
+            if not y:
+                raise ZeroDivisionError("division by zero in F")
+            return _F(u, v, q * y) if y > 0 else _F(-u, -v, -q * y)
+        # 1/y = r*(s - t*sqrt(2)) / (s**2 - 2*t**2)
+        s, t, r = y
+        return self * _F(r * s, -r * t) / (s * s - 2 * t * t)
 
     def sign(self):
-        return relative_sign(self, 2, _sign)
+        return relative_sign(self[:2], 2, _sign)
 
     def sqrt(self):
-        r = relative_sqrt(self, 2, sqrt_rational)
-        return None if r is None else _F(r)
+        """A square root in F, or None: that of q*(u + v*sqrt(2)), over q."""
+        u, v, q = self
+        root = relative_sqrt((Fraction(q * u), Fraction(q * v)), 2, sqrt_rational)
+        if root is None:
+            return None
+        a, b = root
+        den = a.denominator * b.denominator
+        return _F(a.numerator * b.denominator, b.numerator * a.denominator, q * den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BiquadNumber:
-    """x0 + x1*sqrt(2) + x2*sqrt(d) + x3*sqrt(2d), exact rationals."""
+    """x0 + x1*sqrt(2) + x2*sqrt(d) + x3*sqrt(2d), exact rationals.
 
-    coordinates: tuple[Fraction, Fraction, Fraction, Fraction]
+    The coordinates of an integer of K1 have denominators dividing 4, so the
+    number is held as the integers 4*x0, ..., 4*x3: products and signs run in
+    integers and never normalise a Fraction.
+    """
+
+    quarters: tuple[int, int, int, int]
     field: BiquadField
 
-    def __post_init__(self) -> None:
-        coords = tuple(Fraction(c) for c in self.coordinates)
-        object.__setattr__(self, "coordinates", coords)
-        for c in coords:
+    def __init__(self, coordinates, field: BiquadField) -> None:
+        quarters = []
+        for c in coordinates:
+            c = Fraction(c)
             if 4 % c.denominator:
                 raise ValueError("integral coordinates have denominator dividing 4")
+            quarters.append(c.numerator * (4 // c.denominator))
+        object.__setattr__(self, "quarters", tuple(quarters))
+        object.__setattr__(self, "field", field)
+
+    @classmethod
+    def _of_quarters(cls, quarters, field: BiquadField) -> "BiquadNumber":
+        x = object.__new__(cls)
+        object.__setattr__(x, "quarters", tuple(quarters))
+        object.__setattr__(x, "field", field)
+        return x
+
+    @property
+    def coordinates(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return tuple(Fraction(q, 4) for q in self.quarters)
 
     def _over_F(self, flip_sqrt2: bool = False, flip_sqrtd: bool = False):
-        """(A, B) in F with A + B*sqrt(d) the image of x with the chosen signs flipped."""
-        x0, x1, x2, x3 = self.coordinates
+        """(A, B) in F with (A + B*sqrt(d))/4 the image of x with the chosen
+        signs flipped; A and B have denominator 1."""
+        x0, x1, x2, x3 = self.quarters
         if flip_sqrt2:
             x1, x3 = -x1, -x3
         if flip_sqrtd:
             x2, x3 = -x2, -x3
-        return _F((x0, x1)), _F((x2, x3))
+        return _F(x0, x1), _F(x2, x3)
 
     def __mul__(self, other: "BiquadNumber") -> "BiquadNumber":
         if other.field.d.value != self.field.d.value:
             raise ValueError("mixed fields")
         A, B = relative_mul(self._over_F(), other._over_F(), self.field.d.value)
-        return BiquadNumber((*A, *B), self.field)
+        # the product over 16, kept only when its denominators divide 4
+        sixteenths = (A[0], A[1], B[0], B[1])
+        if any(c % 4 for c in sixteenths):
+            raise ValueError("integral coordinates have denominator dividing 4")
+        return BiquadNumber._of_quarters((c // 4 for c in sixteenths), self.field)
 
     def __neg__(self) -> "BiquadNumber":
-        return BiquadNumber(tuple(-c for c in self.coordinates), self.field)
+        return BiquadNumber._of_quarters((-c for c in self.quarters), self.field)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coordinates)
+        return not any(self.quarters)
 
     def embedding_sign(self, flip_sqrt2: bool, flip_sqrtd: bool) -> int:
         """Exact sign of the image under the chosen real embedding."""
@@ -109,13 +161,16 @@ class BiquadNumber:
 def sqrt_in_K1(x: BiquadNumber):
     """An exact square root of x in K1, or None.
 
-    Writes x = A + B*sqrt(d) over F = Q(sqrt(2)) and solves
-    (C + D*sqrt(d))^2 = x with quadfield.relative_sqrt.
+    Writes 4x = A + B*sqrt(d) over F = Q(sqrt(2)) and solves
+    (C + D*sqrt(d))^2 = 4x with quadfield.relative_sqrt; the root of x is
+    half that root.
     """
     root = relative_sqrt(x._over_F(), x.field.d.value, _F.sqrt)
     if root is None:
         return None
-    return BiquadNumber((*root[0], *root[1]), x.field)
+    return BiquadNumber(
+        tuple(Fraction(c[i], 2 * c[2]) for c in root for i in (0, 1)), x.field
+    )
 
 
 def is_square_in_K1(x: BiquadNumber) -> bool:

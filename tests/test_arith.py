@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from array import array
 
 import pytest
 
@@ -25,6 +27,49 @@ def naive_is_prime(n):
     if n < 2:
         return False
     return all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def naive_spf(n):
+    """The least prime factor of n >= 2, by trial division."""
+    return next((k for k in range(2, math.isqrt(n) + 1) if n % k == 0), n)
+
+
+def test_spf_table_against_trial_division(monkeypatch):
+    # grown from 4096 entries by doubling past 2 * 10^5, then built at once
+    # for a limit that is no power of two
+    n_max = 2 * 10**5
+    expected = [0, 1] + [naive_spf(n) for n in range(2, n_max)]
+    monkeypatch.setattr(arith, "_spf", array("I"))
+    sizes = []
+    while len(arith._spf) <= n_max:
+        table = arith.spf_table(len(arith._spf))
+        sizes.append(len(table))
+        k = min(len(table), n_max)
+        assert list(table[:k]) == expected[:k], len(table)
+    assert sizes == [4096 << i for i in range(7)]
+    monkeypatch.setattr(arith, "_spf", array("I"))
+    table = arith.spf_table(n_max - 1)
+    assert len(table) == n_max
+    # spf[p] == p for the primes, and the least prime of each composite
+    assert list(table) == expected
+
+
+def test_spf_table_takes_four_bytes_an_entry(monkeypatch):
+    monkeypatch.setattr(arith, "_spf", array("I"))
+    table = arith.spf_table(10**6)
+    assert len(arith._spf) == len(table) == 10**6 + 1
+    assert table.itemsize == 4
+    # allocated at its exact length: 4 bytes an entry over an empty array
+    assert sys.getsizeof(table) == sys.getsizeof(array("I")) + 4 * len(table)
+
+
+def test_primes_upto_against_trial_division():
+    expected = [p for p in range(3000) if naive_is_prime(p)]
+    for n in range(-1, 3000):
+        assert arith.primes_upto(n) == [p for p in expected if p <= n], n
+    table = arith.spf_table(10**6)
+    from_table = [p for p in range(2, 10**6 + 1) if table[p] == p]
+    assert arith.primes_upto(10**6) == from_table
 
 
 def test_is_prime_examples():

@@ -413,6 +413,37 @@ def test_stdout_is_byte_identical_to_the_golden_documents():
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
 
 
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "--max", "20000"], ["classify", "1365"]]
+)
+def test_closed_stdout_exits_1_with_one_line(argv):
+    # stdout is a pipe whose reader is gone, as under `| head -1` once head
+    # has exited: a long document fails as it is written, a short one as
+    # stdout is flushed before exit
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twoclass.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: stdout was closed before the output was written"
+    ]
+
+
 def test_sweeps_reject_empty_range_and_bad_threads(capsys):
     bad = [
         [command, *extra]
