@@ -401,21 +401,6 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
     return r
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _two_adic_split(n: int) -> tuple[int, int]:
     """n = 2**e * u with u odd; returns (e, u)."""
     e = 0

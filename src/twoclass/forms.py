@@ -9,10 +9,16 @@ dividing the conductor of D, the primitive forms of norm p^k up to the same
 bound.  Equivalence of forms is always decided by cycle membership, never by
 floating-point invariants.
 
-One builder finds the cycles of D; the narrow group, its sign-class quotient
-(the ordinary group) and the summaries are read off it.  A group lists each
-class by its least reduced form, in ascending order.  All torsion comes
-from the chains #A[p^k] of the iterated p-th power map.
+The sign class sigma maps the reduced form (a, b, c) to (-a, b, -c), so the
+cycles C and sigma C hold the same forms up to sign: one walk numbers both,
+and only the forms with a < 0 are stored (Buchmann and Vollmer, Binary
+Quadratic Forms, 2007, ch. 6).  One builder finds the cycles of D; the narrow
+group, its sign-class quotient (the ordinary group) and the summaries are
+read off it.  A group lists each class by its least reduced form, in
+ascending order.  Structure is the Smith normal form of the relations the
+closure finds on its way, each generator's first power that falls in the
+group before it; the tests cross-check it against torsion counts made
+through the group law.
 
 A form (a, b, c) of discriminant D = b^2 - 4ac > 0 (nonsquare) is reduced
 when 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b.
@@ -20,12 +26,11 @@ when 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .arith import _xgcd, factorize, spf_table, sqrt_mod_prime
+from .arith import is_prime, spf_table, sqrt_mod_prime
 
 _CACHE_SIZE = 1024  # summaries memoised; a sweep revisits only D = 8
 
@@ -114,19 +119,24 @@ def reduced_forms(D: int) -> list[IndefiniteForm]:
     s = _check_discriminant(D)
     out = []
     for g in range(1, s + 1):
-        if D % (g * g) == 0 and D // (g * g) % 4 in (0, 1):
-            cycles = _cycles(D // (g * g))
-            out += [IndefiniteForm(g * a, g * b, g * c) for a, b, c in cycles.cycle_of]
+        E, r = divmod(D, g * g)
+        if r == 0 and E % 4 in (0, 1):
+            # each key (a, b) stands for (a, b, c) and its sign partner
+            for a, b in _cycles(E).cycle_of:
+                c = (b * b - E) // (4 * a)
+                out.append(IndefiniteForm(g * a, g * b, g * c))
+                out.append(IndefiniteForm(-g * a, g * b, -g * c))
     return sorted(out)
 
 
 def _solve_linear(a: int, b: int, m: int) -> tuple[int, int]:
     """Solve a*x = b (mod m); returns (x0, m/g) with solutions x0 + k*(m/g)."""
-    g, inv, _ = _xgcd(a, m)
+    g = math.gcd(a, m)
     q, r = divmod(b, g)
     if r:
         raise ArithmeticError("linear congruence has no solution")
-    return q * inv % m, m // g
+    m //= g
+    return q * pow(a // g, -1, m) % m, m
 
 
 def _compose_raw(
@@ -170,21 +180,37 @@ def compose(f: IndefiniteForm, g: IndefiniteForm) -> IndefiniteForm:
 
 
 class _Cycles(NamedTuple):
-    """The rho-cycles of the primitive reduced forms of one discriminant."""
+    """The rho-cycles of the primitive reduced forms of one discriminant.
+
+    Cycle 0 is the principal cycle and cycle flip the sign cycle.  The
+    reduced form (a, b, c) with a < 0 lies on cycle_of[(a, b)], and its sign
+    partner (-a, b, -c) on cycle_of[(a, b)] ^ flip: when the sign class is
+    not principal (flip = 1), the cycles C and sigma C are 2k and 2k + 1.
+    (a, b, c) composed with the sign form (-1, b, -ac), united with it, is
+    (-a, b, -c) (Cohen, GTM 138, 5.2), reduced as (a, b, c) is, since
+    reducedness reads only |a|.
+    """
 
     D: int
     s: int
-    cycle_of: dict  # reduced form -> cycle id, ids in the order found
-    reps: list  # cycle id -> smallest form of the cycle
-    identity: int  # the principal cycle
-    sign: int  # the cycle of forms representing -1
+    flip: int
+    cycle_of: dict  # (a, b) with a < 0 -> cycle id of (a, b, (b^2 - D)/4a)
+    least: list  # cycle id -> least form of the cycle
+    low: list  # cycle id -> a form of the cycle with least positive a
+    # a presentation of the narrow group: with radices n_0, n_1, ... of the
+    # closure (n_0 = 2 for the sign class when flip), row j says that
+    # n_j e_j - sum(d_i e_i) is a relation, where d_i are the digits of
+    # x_j^(n_j) in the group before x_j; lower triangular, row j of length j+1
+    relations: list
+
+    def id_of(self, f) -> int:
+        a, b, _ = f
+        if a < 0:
+            return self.cycle_of[(a, b)]
+        return self.cycle_of[(-a, b)] ^ self.flip
 
     def mul(self, i: int, j: int) -> int:
-        return self.cycle_of[_compose_raw(self.reps[i], self.reps[j], self.D, self.s)]
-
-    def power_map(self, p: int) -> list[int]:
-        """Cycle id -> cycle id of its p-th power."""
-        return [_power(self.mul, i, p) for i in range(len(self.reps))]
+        return self.id_of(_compose_raw(self.low[i], self.low[j], self.D, self.s))
 
 
 def _power(mul, x: int, n: int) -> int:
@@ -197,23 +223,50 @@ def _power(mul, x: int, n: int) -> int:
     return out
 
 
-def _walk(f, D: int, s: int, cycle_of: dict, reps: list) -> int:
-    """Number the rho-cycle of the reduced form f, keeping its smallest form."""
-    cid = len(reps)
-    rep = g = f
+def _walk(f, D: int, s: int, cycle_of: dict, cid: int, pid: int):
+    """Number the rho-cycle C of the reduced form f as cid and sigma C as pid.
+
+    Only forms with a < 0 are stored, keyed by (a, b): those of C, and the
+    sign partners (-a, b, -c), on sigma C, of the forms of C with a > 0.  The
+    signs of a alternate along the cycle, so the walk carries |a|, b and |c|:
+    with q, e = divmod(s + b, 2|c|), rho gives b' = r = s - e and
+    |c'| = |a| + q(b - r)/2.  It stops back at its start, or half way, at the
+    start's sign partner, when sigma C = C.
+
+    Returns the least and the greatest key stored for cid, then for pid, and
+    whether the walk stopped half way.
+    """
     a, b, c = f
+    if a > 0:
+        a, b, c = _rho(a, b, c, D, s)
+    A = A0 = -a
+    b0, C = b, c
+    lo = hi = (a, b)
+    cycle_of[lo] = cid
+    plo, phi = (0, 0), (-D, 0)  # above and below every key
     while True:
-        cycle_of[g] = cid
-        if g < rep:
-            rep = g
-        # _rho of a reduced form: |c| <= s, so r = -b (mod 2|c|) in (s - 2|c|, s]
-        r = s - (s + b) % (2 * abs(c))
-        a, b, c = c, r, (r * r - D) // (4 * c)
-        g = (a, b, c)
-        if g == f:
-            break
-    reps.append(rep)
-    return cid
+        q, e = divmod(s + b, 2 * C)
+        r = s - e
+        A, b, C = C, r, A + (b - r) // 2 * q  # the form (A, b, -C)
+        if b == b0 and A == A0:
+            return lo, hi, plo, phi, True
+        key = (-A, b)
+        cycle_of[key] = pid
+        if key < plo:
+            plo = key
+        if key > phi:
+            phi = key
+        q, e = divmod(s + b, 2 * C)
+        r = s - e
+        A, b, C = C, r, A + (b - r) // 2 * q  # the form (-A, b, C)
+        if b == b0 and A == A0:
+            return lo, hi, plo, phi, False
+        key = (-A, b)
+        cycle_of[key] = cid
+        if key < lo:
+            lo = key
+        elif key > hi:
+            hi = key
 
 
 def _prime_forms(D: int, s: int) -> list[tuple[int, int, int]]:
@@ -268,8 +321,8 @@ def _prime_form(q: int, b: int, D: int, s: int) -> tuple[int, int, int]:
 
 
 def _cycles(D: int) -> _Cycles:
-    """The rho-cycles of the primitive reduced forms of D, with the
-    principal and the sign cycle.
+    """The rho-cycles of the primitive reduced forms of D, with a
+    presentation of the narrow group.
 
     The classes are the closure of the principal and sign cycles under the
     generators of _prime_forms (Cohen, GTM 138, 5.2 and 5.4; Buchmann and
@@ -289,68 +342,119 @@ def _cycles(D: int) -> _Cycles:
 
 
 def _cycles_from(D: int, s: int, gens) -> _Cycles:
-    """Walk the cycles of the principal and the sign form, then close the
-    group under the classes of gens.  Each class the closure adds costs one
-    composition and one walk."""
-    cycle_of: dict[tuple[int, int, int], int] = {}
-    reps: list[tuple[int, int, int]] = []
+    """Walk the principal cycle, which shows whether the sign class is
+    principal, then close the group under the classes of gens.
 
-    def cls(f):
-        cid = cycle_of.get(f)
-        return _walk(f, D, s, cycle_of, reps) if cid is None else cid
+    The group is kept in mixed radix: entry u + m*t of H<x> is H[u] x^t
+    for m = #H, and the index in H of the first power x^n in H gives the
+    relation of x.  Each class of H<x> outside H costs one composition of
+    its form of least positive a with the generator itself, and one walk,
+    unless it is the sign partner (its id ^ 1) of a class just found.
+    """
+    cycle_of: dict[tuple[int, int], int] = {}
+    least: list[tuple[int, int, int]] = []
+    low: list[tuple[int, int, int]] = []
 
-    # the principal form, and -1 times it
+    def number(least_key, low_key):
+        # the least form of a cycle, and the sign partner of its low_key
+        a, b = least_key
+        least.append((a, b, (b * b - D) // (4 * a)))
+        a, b = low_key
+        low.append((-a, b, (D - b * b) // (4 * a)))
+
+    def walk(f, cid, pid):
+        lo, hi, plo, phi, half = _walk(f, D, s, cycle_of, cid, pid)
+        if half:
+            number(min(lo, plo), max(hi, phi))
+        else:
+            number(lo, phi)
+            number(plo, hi)
+        return half
+
+    def cls(a, b, c):
+        if a < 0:
+            cid = cycle_of.get((a, b))
+            if cid is not None:
+                return cid
+        else:
+            cid = cycle_of.get((-a, b))
+            if cid is not None:
+                return cid ^ flip
+        cid = len(least)
+        walk((a, b, c), cid, cid ^ flip)
+        return cid
+
     b0 = D & 1
     c0 = (b0 - D) // 4  # b0 * b0 == b0
-    principal = cls(_reduce(1, b0, c0, D, s))
-    sign = cls(_reduce(-1, b0, -c0, D, s))
-    group = [principal] if sign == principal else [principal, sign]
-    in_group = set(group)
+    flip = 0 if walk(_reduce(1, b0, c0, D, s), 0, 1) else 1
+    if not flip:  # sigma C = C: the ids 1 of the walk were provisional
+        for key in cycle_of:
+            cycle_of[key] = 0
+    step = 1 + flip  # group[2k + 1] is group[2k] times the sign class
+    group = list(range(step))
+    index = {c: u for u, c in enumerate(group)}
+    relations = [[2]] * flip  # the sign class has order 2
     for g in gens:
-        x = cls(_reduce(*g, D, s))
+        p, b, _ = g
+        x = cls(*(_reduce(*g, D, s) if 2 * p >= s or b <= 0 else g))
         coset, y, grown = group, x, []
-        while y not in in_group:
+        while y not in index:
             # the coset H x^k is (H x^(k-1)) x; group[0] = 1 puts x^k first
-            coset = [y] + [
-                cls(_compose_raw(reps[h], reps[x], D, s)) for h in coset[1:]
+            heads = [y] + [
+                cls(*_compose_raw(low[h], g, D, s)) for h in coset[step::step]
             ]
+            coset = [h ^ t for h in heads for t in range(step)]
             grown += coset
-            y = cls(_compose_raw(reps[y], reps[x], D, s))
-        group = group + grown
-        in_group.update(grown)
-    return _Cycles(D, s, cycle_of, reps, principal, sign)
+            y = cls(*_compose_raw(low[y], g, D, s))
+        if grown:
+            # the radices are the diagonal of the relations
+            u, row = index[y], []
+            for r in relations:
+                u, digit = divmod(u, r[-1])
+                row.append(-digit)
+            relations.append(row + [len(grown) // len(group) + 1])
+            index.update(zip(grown, range(len(group), len(group) + len(grown))))
+            group += grown
+    return _Cycles(D, s, flip, cycle_of, least, low, relations)
 
 
-def _torsion_chain(pmap: list[int], p: int, kernel: set[int]) -> tuple[int, ...]:
-    """#A[p^k] for k = 0, 1, ... until it reaches the p-part of #A.
+def _invariant_factors(rows) -> tuple[int, ...]:
+    """The invariant factors > 1, ascending, of Z^k modulo the rows of a
+    nonsingular k x k integer matrix: its Smith normal form (Cohen, GTM 138,
+    2.4.4)."""
+    m = [list(r) for r in rows]
+    diag = []
+    while m:
+        # a least nonzero entry to the corner, then the rest of its column
+        # and its row reduced modulo it, until both are zero
+        _, i, j = min(
+            (abs(x), i, j) for i, r in enumerate(m) for j, x in enumerate(r) if x
+        )
+        m[0], m[i] = m[i], m[0]
+        for r in m:
+            r[0], r[j] = r[j], r[0]
+        p = m[0][0]
+        m[1:] = [[x - r[0] // p * y for x, y in zip(r, m[0])] for r in m[1:]]
+        q = [0] + [x // p for x in m[0][1:]]
+        m = [[x - r[0] * y for x, y in zip(r, q)] for r in m]
+        if not any(m[0][1:]) and not any(r[0] for r in m[1:]):
+            diag.append(abs(p))
+            m = [r[1:] for r in m[1:]]
+    # Z/a x Z/b = Z/gcd(a, b) x Z/lcm(a, b) makes a divisibility chain
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return tuple(d for d in diag if d > 1)
 
-    A is the group of cycles modulo the subgroup kernel ({1} or {1, sigma});
-    a class x has x^(p^k) = 1 in A exactly when its cycles land in kernel,
-    and every class has len(kernel) cycles.
-    """
-    order = len(pmap) // len(kernel)
-    full = 1
-    while order % (full * p) == 0:
-        full *= p
-    chain = [1]
-    images = list(range(len(pmap)))
-    while chain[-1] < full:
-        images = [pmap[c] for c in images]
-        chain.append(sum(map(images.count, kernel)) // len(kernel))
-    return tuple(chain)
 
-
-def _chain_factors(p: int, chain: tuple[int, ...]) -> list[int]:
-    """Cyclic factors, ascending, of the p-group with #A[p^k] = chain[k]."""
-    # #A[p^k]^2 / (#A[p^(k-1)] #A[p^(k+1)]) = p^(number of factors p^k)
-    ext = chain + chain[-1:]
-    factors = []
-    for k in range(1, len(chain)):
-        r = ext[k] ** 2 // (ext[k - 1] * ext[k + 1])
-        while r > 1:
-            r //= p
-            factors.append(p**k)
-    return factors
+def _structure(cycles: _Cycles, quotient: bool) -> tuple[int, ...]:
+    """Invariant factors of the narrow group, or of its quotient by the sign
+    class: dropping the sign's row and column adds the relation sigma = 1."""
+    rows = cycles.relations
+    if quotient and cycles.flip:
+        rows = [r[1:] for r in rows[1:]]
+    return _invariant_factors([r + [0] * (len(rows) - len(r)) for r in rows])
 
 
 # --- groups ---------------------------------------------------------------
@@ -403,31 +507,31 @@ class FormClassGroup:
 
     classes holds each group element once, as the least reduced form of its
     class (for the ordinary group, the least over both cycles C and C times
-    the sign class), in ascending order.  Composition and all structure
-    questions are answered through cycle membership.
+    the sign class), in ascending order.  Composition is answered through
+    cycle membership, and structure from the relations the closure found.
     """
 
     def __init__(self, cycles: _Cycles, quotient: bool):
         self.discriminant = cycles.D
         self._cycles = cycles
-        self._kernel = {cycles.identity, cycles.sign} if quotient else {cycles.identity}
-        self.variant = "ordinary" if len(self._kernel) == 2 else "narrow"
-        # element position of each cycle; members[pos] = its least cycle
-        self._pos = [-1] * len(cycles.reps)
-        self._members: list[int] = []
-        for cid in sorted(range(len(cycles.reps)), key=cycles.reps.__getitem__):
-            if self._pos[cid] < 0:
-                self._pos[cid] = len(self._members)
-                if len(self._kernel) == 2:
-                    # (a, b, c) composed with the sign form (-1, b, -ac), united
-                    # with it, is (-a, b, -c) (Cohen, GTM 138, 5.2), reduced
-                    # as (a, b, c) is: reducedness reads only |a|
-                    a, b, c = cycles.reps[cid]
-                    self._pos[cycles.cycle_of[(-a, b, -c)]] = len(self._members)
-                self._members.append(cid)
-        self.classes = tuple(IndefiniteForm(*cycles.reps[c]) for c in self._members)
-        self.order = len(self._members)
-        self._chains: dict[int, tuple[int, ...]] = {}
+        # cycle c is element c >> shift: C and sigma C are 2k and 2k + 1
+        self._shift = shift = cycles.flip if quotient else 0
+        self.variant = "ordinary" if shift else "narrow"
+        least = cycles.least
+        forms = [
+            min(least[e << shift : (e + 1) << shift])
+            for e in range(len(least) >> shift)
+        ]
+        elements = sorted(range(len(forms)), key=forms.__getitem__)
+        self._pos = [0] * len(forms)  # element -> position in classes
+        for i, e in enumerate(elements):
+            self._pos[e] = i
+        self._members = [e << shift for e in elements]  # position -> a cycle
+        self.classes = tuple(IndefiniteForm(*forms[e]) for e in elements)
+        self.order = len(forms)
+
+    def _position(self, cid: int) -> int:
+        return self._pos[cid >> self._shift]
 
     def class_index(self, f: IndefiniteForm) -> int:
         """Element position of the class of the primitive form f."""
@@ -435,22 +539,25 @@ class FormClassGroup:
             raise DiscriminantMismatch(f"{f} is not of discriminant {self.discriminant}")
         if math.gcd(math.gcd(f.a, f.b), f.c) != 1:
             raise ValueError(f"{f} is not primitive")
-        return self._pos[self._cycles.cycle_of[tuple(reduce_form(f))]]
+        return self._position(self._cycles.id_of(reduce_form(f)))
 
     @property
     def identity(self) -> int:
-        return self._pos[self._cycles.identity]
+        return self._position(0)
 
     def mul(self, i: int, j: int) -> int:
-        return self._pos[self._cycles.mul(self._members[i], self._members[j])]
+        return self._position(self._cycles.mul(self._members[i], self._members[j]))
 
     def power(self, i: int, n: int) -> int:
+        """The n-th power of class i; a negative n is a power of the inverse."""
+        if n < 0:
+            return self.power(self.inverse(i), -n)
         return _power(self.mul, i, n) if n else self.identity
 
     def inverse(self, i: int) -> int:
         cyc = self._cycles
-        a, b, c = cyc.reps[self._members[i]]
-        return self._pos[cyc.cycle_of[_reduce(a, -b, c, cyc.D, cyc.s)]]
+        a, b, c = cyc.least[self._members[i]]
+        return self._position(cyc.id_of(_reduce(a, -b, c, cyc.D, cyc.s)))
 
     def torsion_count(self, k: int) -> int:
         """Number of classes x with x^k = identity (through mul and power)."""
@@ -458,23 +565,21 @@ class FormClassGroup:
         return sum(1 for i in range(self.order) if self.power(i, k) == e)
 
     def torsion_chain(self, p: int) -> tuple[int, ...]:
-        """#A[p^k] for k = 0, 1, ... until it reaches the p-part of the order."""
-        chain = self._chains.get(p)
-        if chain is None:
-            pmap = self._cycles.power_map(p)
-            chain = self._chains[p] = _torsion_chain(pmap, p, self._kernel)
-        return chain
+        """#A[p^k] for k = 0, 1, ... until it reaches the p-part of the order,
+        for a prime p: the product of gcd(p^k, f) over the invariant factors."""
+        if p < 2 or not is_prime(p):
+            raise ValueError(f"{p} is not a prime")
+        top = self.structure[-1] if self.structure else 1
+        chain, q = [1], p
+        while top % q == 0:
+            chain.append(math.prod(math.gcd(q, f) for f in self.structure))
+            q *= p
+        return tuple(chain)
 
     @cached_property
     def structure(self) -> tuple[int, ...]:
         """Invariant factors of the group (divisibility chain, ascending)."""
-        # align the largest p-power factors of every p, then the next ...
-        parts = [
-            _chain_factors(p, self.torsion_chain(p))[::-1]
-            for p, _ in factorize(self.order)
-        ]
-        columns = itertools.zip_longest(*parts, fillvalue=1)
-        return tuple(sorted(map(math.prod, columns)))
+        return _structure(self._cycles, bool(self._shift))
 
     def __repr__(self) -> str:
         desc = " x ".join(f"Z/{f}" for f in self.structure) or "1"
@@ -499,14 +604,14 @@ def ordinary_class_group(D: int) -> FormClassGroup:
     return FormClassGroup(_cycles(D), quotient=True)
 
 
-def _two_group(chain: tuple[int, ...]) -> Abelian2Group:
-    """The 2-group with #A[2^k] = chain[k]."""
-    return Abelian2Group(tuple(_chain_factors(2, chain)))
+def _two_part(structure: tuple[int, ...]) -> Abelian2Group:
+    """The 2-Sylow subgroup of the group with these invariant factors."""
+    return Abelian2Group(tuple(f & -f for f in structure if f % 2 == 0))
 
 
 def two_sylow(g: FormClassGroup) -> Abelian2Group:
     """The 2-Sylow subgroup of a class group, as invariant factors."""
-    return _two_group(g.torsion_chain(2))
+    return _two_part(g.structure)
 
 
 # --- lean per-discriminant summary for the verification sweeps ------------
@@ -525,19 +630,17 @@ def class_group_summary(D: int) -> ClassGroupSummary:
     """The class numbers and 2-Sylow subgroups of the narrow group and its
     sign-class quotient.
 
-    One generator closure (about h compositions and one walk of every
-    cycle) plus h compositions for the squaring map per discriminant.
-    Only the summary is kept, not the cycles, and only for the last
-    _CACHE_SIZE discriminants.
+    One generator closure per discriminant: at most h compositions and one
+    walk per pair of sign-partner cycles, then the Smith normal form of its
+    small relation matrix.  Only the summary is kept, not the cycles, and
+    only for the last _CACHE_SIZE discriminants.
     """
     cycles = _cycles(D)
-    squares = cycles.power_map(2)
-    h_narrow = len(cycles.reps)
-    kernel = {cycles.identity, cycles.sign}
+    h_narrow = len(cycles.least)
     return ClassGroupSummary(
         D,
         h_narrow,
-        h_narrow // len(kernel),
-        _two_group(_torsion_chain(squares, 2, {cycles.identity})),
-        _two_group(_torsion_chain(squares, 2, kernel)),
+        h_narrow >> cycles.flip,
+        _two_part(_structure(cycles, False)),
+        _two_part(_structure(cycles, True)),
     )

@@ -402,6 +402,14 @@ GOLDEN_STDOUT = {
     ("classgroup", "400000020", "--ordinary"): (
         "311f2935aa2e35d17e5948c3b18e3566dc10e0aa4ccaf41e4acb68a1e5ee48ca"
     ),
+    # a large ordinary group, (2, 3336)
+    ("classgroup", "40000000004", "--ordinary"): (
+        "3e37565680fc1703c816a84478cbcc2035a857bd7830be7d82f46a1548761e78"
+    ),
+    # narrow (3, 12): a structure that is not a 2-group
+    ("classgroup", "226580"): (
+        "de33f5fdaa3292bcd1de2d1cd5cb383a12c9685c48b83799e012a469c4762803"
+    ),
 }
 
 

@@ -2,6 +2,7 @@ import functools
 import io
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -217,6 +218,56 @@ def test_two_sylow_values():
         assert two_sylow(g).factors == (2,)
 
 
+def test_negative_powers_are_powers_of_the_inverse():
+    # a negative exponent n is the |n|-th power of the inverse
+    for D in (60, 1365, 32009, 226580, 3999932):
+        for g in (narrow_class_group(D), ordinary_class_group(D)):
+            for i in range(g.order):
+                inv = g.inverse(i)
+                assert g.power(i, -1) == inv, (D, g.variant, i)
+                assert g.power(i, -3) == g.power(inv, 3), (D, g.variant, i)
+                assert g.mul(g.power(i, -5), g.power(i, 5)) == g.identity
+
+
+def test_torsion_chain_refuses_what_is_not_a_prime():
+    g = narrow_class_group(1365)
+    for p in (0, 1, 4, -2):
+        with pytest.raises(ValueError, match="not a prime"):
+            g.torsion_chain(p)
+    assert g.torsion_chain(2) == (1, 8)
+    assert g.torsion_chain(3) == (1,)
+
+
+def test_invariant_factors_of_small_relation_matrices():
+    assert oracle._invariant_factors([[2, 0], [0, 3]]) == (6,)
+    assert oracle._invariant_factors([[2, 0], [-1, 2]]) == (4,)
+    assert oracle._invariant_factors([[4, 0], [0, 6]]) == (2, 12)
+    assert oracle._invariant_factors([[1]]) == ()
+    assert oracle._invariant_factors([]) == ()
+    # its 2 x 2 minors have gcd 2, and its determinant is 24
+    assert oracle._invariant_factors([[2, 0, 0], [-1, 3, 0], [0, -2, 4]]) == (2, 12)
+
+
+def test_summary_composes_once_per_class_found(monkeypatch):
+    # the closure composes each class it adds once and a sign partner not
+    # at all, and the group structure needs no power map: fewer than h+
+    # compositions, and fewer than h+ / 2 when the sign class is not
+    # principal, well within h+ plus one per growing generator
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compose_raw(*args)
+
+    compose_raw = oracle._compose_raw
+    monkeypatch.setattr(oracle, "_compose_raw", counted)
+    for D in (5, 60, 1365, 32009, 226580, 3999932, 400000020):
+        cycles = oracle._cycles(D)
+        calls.clear()
+        oracle.class_group_summary.__wrapped__(D)
+        assert len(calls) < len(cycles.least) >> cycles.flip, D
+
+
 def test_abelian2group_validation():
     with pytest.raises(ValueError):
         Abelian2Group((3,))
@@ -303,19 +354,87 @@ def _reduced_forms_by_full_sieve(D, s):
     return out
 
 
+class _RefCycles(NamedTuple):
+    D: int
+    s: int
+    cycle_of: dict  # reduced primitive form -> cycle id, ids in the order found
+    reps: list  # cycle id -> least form of the cycle
+    identity: int  # the principal cycle
+    sign: int  # the cycle of forms representing -1
+
+
 def _enumerated_cycles(D):
-    """Reference cycles: walk every primitive form of the full-sieve
-    enumeration."""
+    """Reference cycles: a rho walk from every primitive form of the
+    full-sieve enumeration, with forms and cycles of its own."""
     s = math.isqrt(D)
     cycle_of, reps = {}, []
     for f in _reduced_forms_by_full_sieve(D, s):
-        if f not in cycle_of and math.gcd(*f) == 1:
-            oracle._walk(f, D, s, cycle_of, reps)
+        if f in cycle_of or math.gcd(*f) != 1:
+            continue
+        cycle, g = [], f
+        while g != f or not cycle:
+            cycle_of[g] = len(reps)
+            cycle.append(g)
+            g = oracle._rho(*g, D, s)
+        reps.append(min(cycle))
     b0 = D & 1
     c0 = (b0 - D) // 4
     principal = cycle_of[oracle._reduce(1, b0, c0, D, s)]
     sign = cycle_of[oracle._reduce(-1, b0, -c0, D, s)]
-    return oracle._Cycles(D, s, cycle_of, reps, principal, sign)
+    return _RefCycles(D, s, cycle_of, reps, principal, sign)
+
+
+class _RefGroup(NamedTuple):
+    variant: str
+    order: int
+    structure: tuple
+    classes: tuple
+
+
+def _reference_group(ref, quotient):
+    """The narrow group over the reference cycles, or its quotient by the
+    sign class, through compose alone: its classes, least form first, and
+    its structure from the counts #A[p^k] of the p-th power map."""
+    forms = [IndefiniteForm(*f) for f in ref.reps]
+
+    def mul(i, j):
+        return ref.cycle_of[compose(forms[i], forms[j])]
+
+    # an element is a cycle, or for the quotient the pair {C, C sigma}
+    element = [min(i, mul(i, ref.sign)) if quotient else i for i in range(len(forms))]
+    least = {}
+    for i, f in enumerate(ref.reps):
+        least[element[i]] = min(least.get(element[i], f), f)
+
+    def power(i, n):
+        out = i
+        for bit in bin(n)[3:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, i)
+        return element[out]
+
+    identity = element[ref.identity]
+    # the j-th largest factor is divisible by p^k exactly when #A[p^k] /
+    # #A[p^(k-1)] >= p^(j+1)
+    columns = {}
+    for p, v in factorize(len(least)):
+        images, before = list(least), 1
+        while before < p**v:
+            images = [power(i, p) for i in images]
+            count = images.count(identity)
+            ratio, j = count // before, 0
+            while ratio > 1:
+                columns[j] = columns.get(j, 1) * p
+                ratio, j = ratio // p, j + 1
+            before = count
+    quotient = quotient and ref.sign != ref.identity
+    return _RefGroup(
+        "ordinary" if quotient else "narrow",
+        len(least),
+        tuple(sorted(columns.values())),
+        tuple(sorted(map(IndefiniteForm._make, least.values()))),
+    )
 
 
 def _assert_builders_agree(D):
@@ -327,13 +446,22 @@ def _assert_builders_agree(D):
     assert set(ref.cycle_of) == primitive, D
     for f, cid in ref.cycle_of.items():
         assert ref.cycle_of[oracle._rho(*f, D, ref.s)] == cid, (D, f)
-    # the same cycles with the same representatives: h+ agrees
-    assert set(new.cycle_of) == primitive, D
-    pairs = {(ref.cycle_of[f], new.cycle_of[f]) for f in primitive}
-    assert len(pairs) == len(ref.reps) == len(new.reps), D
-    assert all(ref.reps[i] == new.reps[j] for i, j in pairs), D
-    assert (ref.identity, new.identity) in pairs, D
-    assert (ref.sign, new.sign) in pairs, D
+    # the same cycles with the same representatives: h+ agrees; only the
+    # forms with a < 0 are stored, each standing for its sign partner too
+    assert set(new.cycle_of) == {(a, b) for a, b, _ in primitive if a < 0}, D
+    pairs = {(ref.cycle_of[f], new.id_of(f)) for f in primitive}
+    assert len(pairs) == len(ref.reps) == len(new.least), D
+    assert all(ref.reps[i] == new.least[j] for i, j in pairs), D
+    assert (ref.identity, 0) in pairs, D
+    assert (ref.sign, new.flip) in pairs, D
+    # compositions take each cycle's form of least positive a
+    least_a = {}
+    for f in primitive:
+        if f[0] > 0:
+            i = ref.cycle_of[f]
+            least_a[i] = min(least_a.get(i, f[0]), f[0])
+    for i, j in pairs:
+        assert new.low[j][0] == least_a[i] and new.id_of(new.low[j]) == j, (D, j)
     summ = class_group_summary(D)
     assert summ.h_narrow == len(ref.reps), D
     assert (summ.h_narrow == summ.h_ordinary) == (ref.sign == ref.identity), D
@@ -342,7 +470,7 @@ def _assert_builders_agree(D):
         (False, narrow_class_group, summ.narrow),
         (True, ordinary_class_group, summ.ordinary),
     ):
-        want = oracle.FormClassGroup(ref, quotient)
+        want = _reference_group(ref, quotient)
         got = build(D)
         assert got.classes == want.classes, (D, quotient)
         assert got.structure == want.structure, (D, quotient)
@@ -370,14 +498,23 @@ def test_builders_agree_where_the_prime_bound_is_tiny(D):
     _assert_builders_agree(D)
 
 
+@pytest.mark.parametrize("D", [154452, 212517, 214925])
+def test_builders_agree_where_a_relation_has_several_digits(D):
+    # x^n lands on a product of earlier generators: the relation rows
+    # (-digits, n) read (2, 18) at D = 154452 and 212517, where (+digits,
+    # n) would read (6, 6), and (3, 6) at 214925, where they would read (18,)
+    cycles = _assert_builders_agree(D)
+    assert sum(map(bool, cycles.relations[-1])) >= 3, D
+
+
 def test_builders_agree_on_every_discriminant_below_10000():
     # fundamental or not, every D goes through the generator closure
     for D in valid_discriminants(10000):
         cycles = _assert_builders_agree(D)
         # the sign partner of a class is its least form with a and c negated
         assert all(
-            cycles.cycle_of[(-a, b, -c)] == cycles.mul(cid, cycles.sign)
-            for cid, (a, b, c) in enumerate(cycles.reps)
+            cycles.id_of((-a, b, -c)) == cycles.mul(cid, cycles.flip)
+            for cid, (a, b, c) in enumerate(cycles.least)
         ), D
 
 
@@ -423,8 +560,9 @@ def test_classgroup_of_non_fundamental_discriminants_as_with_the_full_sieve(
         return out.getvalue()
 
     got = documents()
+
     def reference(quotient):
-        return lambda D: oracle.FormClassGroup(_enumerated_cycles(D), quotient)
+        return lambda D: _reference_group(_enumerated_cycles(D), quotient)
 
     monkeypatch.setattr(cli, "narrow_class_group", reference(False))
     monkeypatch.setattr(cli, "ordinary_class_group", reference(True))
