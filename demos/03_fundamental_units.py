@@ -10,7 +10,8 @@ from twoclass import fundamental_unit, squarefree_range, unit_norm, minus_one_is
 
 for d in (2, 3, 5, 10, 13, 61, 94, 1365):
     fu = fundamental_unit(d)
-    print(f"d = {d:>5}: e = {fu.value}, norm {fu.norm:+d}, period {fu.cf_period}")
+    e = f"({fu.X} + {fu.Y}*sqrt({d}))/2"
+    print(f"d = {d:>5}: e = {e}, norm {fu.norm:+d}, period {fu.cf_period}")
 
 print()
 print("norm -1 needs every odd prime divisor of d to be 1 mod 4:")
@@ -26,7 +27,7 @@ biggest = (0, 0)
 for fs in squarefree_range(2, 2000):
     fu = fundamental_unit(fs.value)
     counts[fu.norm] += 1
-    digits = len(str(fu.value.a.numerator))
+    digits = len(str(fu.X))
     if digits > biggest[1]:
         biggest = (fs.value, digits)
 print(f"d < 2000: {counts[-1]} fields with norm -1, {counts[1]} with norm +1")

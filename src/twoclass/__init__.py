@@ -59,11 +59,9 @@ from .genus import (
 )
 from .quadfield import (
     FundamentalUnit,
-    QuadInteger,
     QuadraticField,
     discriminant,
     fundamental_unit,
-    is_square_in_K,
     minus_one_is_norm,
     quadratic_field,
     splitting_in,

@@ -131,7 +131,7 @@ def hasse_unit_index(field: BiquadField) -> int:
     for sub in (field.d, doubled(field.d)):
         unit = fundamental_unit(quadratic_field(sub))
         norms.append(unit.norm)
-        vectors.append(_parity_vector(int(2 * unit.value.a), unit.norm, primes))
+        vectors.append(_parity_vector(unit.X, unit.norm, primes))
     v_d, v_2d = vectors
     if norms == [1, 1]:
         candidates = (v_d, v_2d, v_d ^ v_2d)

@@ -194,20 +194,11 @@ _QQQQ_CONDITIONS: tuple[Callable, ...] = (
 )
 
 
-class ConditionMatch:
+class ConditionMatch(NamedTuple):
     """A matched condition index together with the labeling that matched."""
 
-    def __init__(self, condition: int, labeling: tuple[int, ...]):
-        self.condition = condition
-        self.labeling = labeling
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.condition == other
-        return (
-            isinstance(other, ConditionMatch)
-            and (self.condition, self.labeling) == (other.condition, other.labeling)
-        )
+    condition: int
+    labeling: tuple[int, ...]
 
     def __repr__(self) -> str:
         return f"condition {self.condition} with labeling {self.labeling}"

@@ -264,14 +264,19 @@ def _cmd_verify(args, out) -> int:
     return 2 if mismatches else 0
 
 
+def _half(n: int) -> str:
+    """n/2 as an integer, or as the fraction "n/2" when n is odd."""
+    return str(n // 2) if n % 2 == 0 else f"{n}/2"
+
+
 def _cmd_unit(args, out) -> int:
     fu = fundamental_unit(args.d)
     doc = _document(
         "unit",
         {"d": args.d},
         {
-            "a": str(fu.value.a),
-            "b": str(fu.value.b),
+            "a": _half(fu.X),
+            "b": _half(fu.Y),
             "norm": fu.norm,
             "cf_period": fu.cf_period,
         },

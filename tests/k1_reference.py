@@ -1,9 +1,12 @@
 """Exact arithmetic in K1 = Q(sqrt(2), sqrt(d)): the reference the integer
 Hasse unit index is tested against.
 
-K1 is the relative quadratic extension Q(sqrt(2))(sqrt(d)), so quadfield's
-relative-quadratic product, sign and square root serve over Q(sqrt(2)) as
-they do over Q.  `reference_hasse_unit_index` finds Q(K1) by taking exact
+The one relative-quadratic kernel here, relative_mul, relative_sign and
+relative_sqrt, is the exact product, sign and square root of a + b*sqrt(d);
+it takes the base field's sign and square root as arguments.  Over Q (with
+_sign and sqrt_rational) it decides squares in Q(sqrt(d)); K1 is the
+relative quadratic extension Q(sqrt(2))(sqrt(d)), so the same kernel serves
+over Q(sqrt(2)).  `reference_hasse_unit_index` finds Q(K1) by taking exact
 square roots of the signed unit products in K1.  Numbers are integer
 numerators over one denominator (4 in K1, an unreduced q in Q(sqrt(2))), so
 that only the square roots over Q build a Fraction.
@@ -11,20 +14,86 @@ that only the square roots over Q build a Fraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from twoclass.arith import FactoredSquarefree
 from twoclass.biquad import BiquadField
-from twoclass.quadfield import (
-    _sign,
-    fundamental_unit,
-    quadratic_field,
-    relative_mul,
-    relative_sign,
-    relative_sqrt,
-    sqrt_rational,
-)
+from twoclass.quadfield import fundamental_unit, quadratic_field
+
+
+# --- the relative-quadratic kernel: a + b*sqrt(d) over a base field ------
+
+
+def relative_mul(x, y, d):
+    """The product of x = (a, b) and y = (c, e) as elements a + b*sqrt(d)."""
+    a, b = x
+    c, e = y
+    return a * c + b * e * d, a * e + b * c
+
+
+def relative_sign(x, d, sign):
+    """Exact sign of a + b*sqrt(d), given the base field's exact sign."""
+    a, b = x
+    sa, sb = sign(a), sign(b)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    # opposite signs: the larger of a**2 and d*b**2 wins
+    cmp = sign(a * a - b * b * d)
+    if cmp == 0:  # impossible for non-square d, kept for safety
+        return 0
+    return sa if cmp > 0 else sb
+
+
+def relative_sqrt(x, d, sqrt):
+    """Solve (u + v*sqrt(d))**2 = x = (a, b), given the base field's sqrt.
+
+    Returns (u, v) or None.  For b = 0 the root is in the base field or a
+    base multiple of sqrt(d).  Otherwise u**2 = t/2 with t = a +/- s and
+    s**2 = a**2 - d b**2 (the roots of X**2 - a X + d b**2 / 4), so
+    w = sqrt(2t) = 2u gives the candidate (t/w, b/w); it is returned only
+    after squaring back to x.
+    """
+    a, b = x
+    if not b:
+        r = sqrt(a)
+        if r is not None:
+            return r, b
+        r = sqrt(a / d)
+        return None if r is None else (b, r)
+    s = sqrt(a * a - b * b * d)
+    if s is None:
+        return None
+    for t in (a + s, a - s):
+        w = sqrt(t + t)
+        if w is not None:
+            root = t / w, b / w
+            if relative_mul(root, root, d) == (a, b):
+                return root
+    return None
+
+
+def _sign(q: Fraction) -> int:
+    return (q > 0) - (q < 0)
+
+
+def sqrt_rational(q: Fraction):
+    """Exact square root of a rational, or None."""
+    if q < 0:
+        return None
+    if q == 0:
+        return Fraction(0)
+    rn = math.isqrt(q.numerator)
+    rd = math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+# --- K1 as the relative quadratic extension F(sqrt(d)), F = Q(sqrt(2)) ---
 
 
 class _F(tuple):
@@ -162,7 +231,7 @@ def sqrt_in_K1(x: BiquadNumber):
     """An exact square root of x in K1, or None.
 
     Writes 4x = A + B*sqrt(d) over F = Q(sqrt(2)) and solves
-    (C + D*sqrt(d))^2 = 4x with quadfield.relative_sqrt; the root of x is
+    (C + D*sqrt(d))^2 = 4x with relative_sqrt; the root of x is
     half that root.
     """
     root = relative_sqrt(x._over_F(), x.field.d.value, _F.sqrt)
@@ -189,10 +258,10 @@ def subfield_units(field: BiquadField) -> tuple[BiquadNumber, BiquadNumber, Biqu
     fs2 = FactoredSquarefree(2 * fs.value, (2,) + fs.primes)
     units = []
     for sub, slot in ((fs, 2), (fs2, 3), (FactoredSquarefree(2, (2,)), 1)):
-        unit = fundamental_unit(quadratic_field(sub)).value
-        coords = [unit.a, Fraction(0), Fraction(0), Fraction(0)]
-        coords[slot] = unit.b
-        units.append(BiquadNumber(tuple(coords), field))
+        unit = fundamental_unit(quadratic_field(sub))
+        quarters = [2 * unit.X, 0, 0, 0]  # (X + Y*sqrt(r))/2 in quarters
+        quarters[slot] = 2 * unit.Y
+        units.append(BiquadNumber._of_quarters(quarters, field))
     return tuple(units)
 
 

@@ -178,21 +178,19 @@ def test_criterion_6_qqqq_sufficiency():
 def test_criterion_7_fundamental_units():
     """For all square-free d < 2000: exact Pell identity, minimality
     against a brute-force scan over b <= 10^4, and norm parity equal to
-    the continued-fraction period parity."""
-    from fractions import Fraction
-
+    the continued-fraction period parity, on the unit (X + Y*sqrt(d))/2."""
     checked = 0
     for fs in squarefree_range(2, 2000):
         d = fs.value
         fu = fundamental_unit(d)
-        a, b = fu.value.a, fu.value.b
-        norm = a * a - d * b * b
-        assert abs(norm) == 1, d
-        assert norm == fu.norm == (-1) ** fu.cf_period, d
+        X, Y = fu.X, fu.Y
+        norm = X * X - d * Y * Y
+        assert abs(norm) == 4, d
+        assert norm == 4 * fu.norm == 4 * (-1) ** fu.cf_period, d
         # minimality: the scan over b = 1..10^4 finds no unit whose
         # coordinates sit strictly below the returned one (units > 1 are
         # the powers of the fundamental unit, ordered by their b part)
-        scan_limit = min(10**4, math.ceil(b))
+        scan_limit = min(10**4, (Y + 1) // 2)
         for bb in range(1, scan_limit + 1):
             db2 = d * bb * bb
             for delta in (-4, -1, 1, 4):
@@ -205,10 +203,10 @@ def test_criterion_7_fundamental_units():
                 if abs(delta) == 4:
                     if d % 4 != 1 or (x - bb) % 2:
                         continue
-                    cand = (Fraction(x, 2), Fraction(bb, 2))
+                    cand = (x, bb)
                 else:
-                    cand = (Fraction(x), Fraction(bb))
-                below = cand[1] < b or (cand[1] == b and cand[0] < a)
+                    cand = (2 * x, 2 * bb)
+                below = cand[1] < Y or (cand[1] == Y and cand[0] < X)
                 assert not below, (d, cand)
         checked += 1
     assert checked > 1200

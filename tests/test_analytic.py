@@ -30,9 +30,7 @@ def analytic_class_number(D: int, d: int) -> int:
         if chi:
             total -= chi * log(sin(pi * a / D))
     fu = fundamental_unit(d)
-    eps = mpf(fu.value.a.numerator) / fu.value.a.denominator + (
-        mpf(fu.value.b.numerator) / fu.value.b.denominator
-    ) * sqrt(d)
+    eps = (mpf(fu.X) + mpf(fu.Y) * sqrt(d)) / 2
     h = 2 * total / (2 * log(eps))  # each a < D/2 stands for a and D - a
     rounded = int(nint(h))
     assert abs(h - rounded) < mpf(10) ** -20, (D, h)

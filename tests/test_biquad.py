@@ -16,10 +16,8 @@ from twoclass.biquad import (
 )
 from twoclass.forms import Abelian2Group
 from twoclass.quadfield import (
-    QuadInteger,
     SplitType,
     fundamental_unit,
-    is_square_in_K,
     quadratic_field,
     splitting_in,
     unit_norm,
@@ -29,7 +27,9 @@ from k1_reference import (
     BiquadNumber,
     is_square_in_K1,
     reference_hasse_unit_index,
+    relative_sqrt,
     sqrt_in_K1,
+    sqrt_rational,
     subfield_units,
     unit_square_relations,
 )
@@ -142,13 +142,13 @@ def test_is_square_roundtrip_random():
 def test_square_test_agrees_with_quadratic_criterion():
     # sqrt(e) in K1 iff e or 2e is a square in K, for fundamental units e
     for d in (5, 13, 17, 21, 33, 65, 105, 1365):
-        K = quadratic_field(d)
-        fu = fundamental_unit(K)
-        e = fu.value
+        fu = fundamental_unit(d)
+        a, b = Fraction(fu.X, 2), Fraction(fu.Y, 2)
         field = biquad_field(d)
-        e_K1 = BiquadNumber((e.a, Fraction(0), e.b, Fraction(0)), field)
+        e_K1 = BiquadNumber((a, Fraction(0), b, Fraction(0)), field)
         quad_side = fu.norm == 1 and (
-            is_square_in_K(e) or is_square_in_K(QuadInteger(2 * e.a, 2 * e.b, K))
+            relative_sqrt((a, b), d, sqrt_rational) is not None
+            or relative_sqrt((2 * a, 2 * b), d, sqrt_rational) is not None
         )
         assert is_square_in_K1(e_K1) == quad_side, d
 

@@ -89,7 +89,6 @@ def test_ppqq_condition_worked_example():
     assert m is not None
     assert m.condition == 1
     assert m.labeling == (13, 5, 7, 3)
-    assert m == 1  # compares equal to the bare index
     with pytest.raises(WrongShape):
         structure_condition_ppqq(1885)
     with pytest.raises(WrongShape):

@@ -101,12 +101,13 @@ def test_enumerate_sieves_only_the_window(monkeypatch):
 
 def test_cli_import_loads_no_process_pool():
     # sweeps run in process; a pool import would cost every CLI start, and
-    # so would dataclasses, which loads inspect, ast, dis and tokenize
+    # so would dataclasses, which loads inspect, ast, dis and tokenize, and
+    # fractions, which loads decimal: units are integer pairs
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     probe = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import twoclass.cli; "
         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', "
-        "'dataclasses') if m in sys.modules))"
+        "'dataclasses', 'fractions') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60
@@ -182,6 +183,19 @@ def test_unit_command():
     code, doc, _ = run_json(["unit", "5"])
     assert code == 0
     assert doc["results"] == {"a": "1/2", "b": "1/2", "norm": -1, "cf_period": 1}
+
+
+def test_unit_stdout_is_byte_identical_for_every_squarefree_d_below_10_4():
+    # half-integer and integer coordinates, both norms, every period length
+    out = io.StringIO()
+    count = 0
+    for fs in squarefree_range(2, 10**4):
+        assert cli.run(["unit", str(fs.value)], out) == 0, fs.value
+        count += 1
+    assert count == 6082
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "fbaa73f906caa4528aa6c1d97cfb5c8ae1fd1064df40eafe6f1dfbeadf0e28e2"
+    )
 
 
 def test_classgroup_command():

@@ -7,21 +7,21 @@ import pytest
 from twoclass.arith import NotSquarefree, factor_squarefree, squarefree_range
 from twoclass.quadfield import (
     _cf_unit,
-    QuadInteger,
     SplitType,
     discriminant,
     fundamental_unit,
-    is_square_in_K,
     minus_one_is_norm,
     quadratic_field,
     splitting_in,
-    sqrt_in_quadratic,
     unit_norm,
 )
 
+from k1_reference import relative_mul, relative_sqrt, sqrt_rational
+
 
 def brute_force_unit(d, bmax=10**4):
-    """Smallest unit > 1 as (a, b) Fractions, by scanning b upward."""
+    """Smallest unit (X + Y*sqrt(d))/2 > 1 as (X, Y), by scanning b = Y/2
+    upward."""
     for b in range(1, bmax + 1):
         db2 = d * b * b
         for delta in (-4, -1, 1, 4):
@@ -34,9 +34,9 @@ def brute_force_unit(d, bmax=10**4):
             if abs(delta) == 4:
                 if d % 4 != 1 or (x - b) % 2:
                     continue
-                cand = (Fraction(x, 2), Fraction(b, 2))
+                cand = (x, b)
             else:
-                cand = (Fraction(x), Fraction(b))
+                cand = (2 * x, 2 * b)
             # a, b >= 1/2 and d >= 2, so the value exceeds 1 automatically
             return cand
     return None
@@ -67,13 +67,13 @@ def test_splitting():
 
 def test_fundamental_unit_examples():
     u = fundamental_unit(2)
-    assert (u.value.a, u.value.b, u.norm) == (1, 1, -1)
+    assert (u.X, u.Y, u.norm) == (2, 2, -1)
     u = fundamental_unit(5)
-    assert (u.value.a, u.value.b, u.norm) == (Fraction(1, 2), Fraction(1, 2), -1)
+    assert (u.X, u.Y, u.norm) == (1, 1, -1)
     u = fundamental_unit(3)
-    assert (u.value.a, u.value.b, u.norm) == (2, 1, 1)
+    assert (u.X, u.Y, u.norm) == (4, 2, 1)
     u = fundamental_unit(10)
-    assert (u.value.a, u.value.b, u.norm) == (3, 1, -1)
+    assert (u.X, u.Y, u.norm) == (6, 2, -1)
 
 
 def test_units_match_brute_force():
@@ -82,15 +82,17 @@ def test_units_match_brute_force():
         bf = brute_force_unit(fs.value)
         if bf is None:
             # unit out of scan range: minimality below the bound still holds
-            assert fu.value.b > 10**4, fs.value
+            assert fu.Y > 2 * 10**4, fs.value
         else:
-            assert (fu.value.a, fu.value.b) == bf, fs.value
-        assert fu.value.norm() == fu.norm == (-1) ** fu.cf_period
+            assert (fu.X, fu.Y) == bf, fs.value
+        assert fu.X * fu.X - fs.value * fu.Y * fu.Y == 4 * fu.norm
+        assert fu.norm == (-1) ** fu.cf_period
 
 
 def full_period_unit(d):
-    """The reference for _cf_unit: (a, b, period) from once round the whole
-    period of xi1, multiplying every partial-quotient matrix in turn."""
+    """The reference for _cf_unit: (a, b, period) with the unit a + b*sqrt(d),
+    from once round the whole period of xi1, multiplying every
+    partial-quotient matrix in turn."""
     s = math.isqrt(d)
     P0, Q0 = (1, 2) if d % 4 == 1 else (0, 1)
     a0 = (P0 + s) // Q0
@@ -112,9 +114,9 @@ def full_period_unit(d):
 def assert_half_period_unit(d):
     got = _cf_unit.__wrapped__(d)  # unmemoised
     want = full_period_unit(d)
-    # compare the integers, not their decimal strings
-    assert [(x.numerator, x.denominator) for x in got[:2]] == [
-        (x.numerator, x.denominator) for x in want[:2]
+    # compare the integers X = 2a and Y = 2b, not their decimal strings
+    assert [(x, 1) for x in got[:2]] == [
+        ((2 * x).numerator, (2 * x).denominator) for x in want[:2]
     ], d
     assert got[2] == want[2], d
 
@@ -151,7 +153,7 @@ def test_half_period_unit_against_the_full_period_on_large_d():
 def test_half_period_unit_with_more_than_4300_digits():
     d = 40000159
     assert_half_period_unit(d)
-    assert _cf_unit.__wrapped__(d)[0].numerator.bit_length() > 4300 * math.log2(10)
+    assert (_cf_unit.__wrapped__(d)[0] // 2).bit_length() > 4300 * math.log2(10)
 
 
 def test_unit_norms():
@@ -164,64 +166,42 @@ def test_unit_norms():
             assert unit_norm(fs.value) == 1, fs.value
 
 
+def sqrt_over_q(a, b, d):
+    """(u, v) with (u + v*sqrt(d))**2 = a + b*sqrt(d) over Q, or None."""
+    return relative_sqrt((Fraction(a), Fraction(b)), d, sqrt_rational)
+
+
 def test_is_square_in_K_examples():
-    K5 = quadratic_field(5)
-    K3 = quadratic_field(3)
-    assert is_square_in_K(QuadInteger(Fraction(9), Fraction(0), K5))
-    assert is_square_in_K(QuadInteger(Fraction(7), Fraction(4), K3))  # (2+sqrt3)^2
-    assert not is_square_in_K(QuadInteger(Fraction(2), Fraction(1), K3))
-    with pytest.raises(ValueError):
-        is_square_in_K(QuadInteger(Fraction(0), Fraction(0), K3))
+    assert sqrt_over_q(9, 0, 5) is not None
+    assert sqrt_over_q(7, 4, 3) is not None  # (2+sqrt3)^2
+    assert sqrt_over_q(2, 1, 3) is None
 
 
 def test_is_square_random_roundtrip():
     rng = random.Random(7)
     for d in (2, 3, 5, 7, 13, 15):
-        K = quadratic_field(d)
         for _ in range(60):
             a = Fraction(rng.randint(-9, 9))
             b = Fraction(rng.randint(-9, 9))
             if d % 4 == 1 and rng.random() < 0.5:
                 a += Fraction(1, 2)
                 b += Fraction(1, 2)
-            x = QuadInteger(a, b, K)
-            sq = x * x
-            if sq.a == 0 and sq.b == 0:
+            sq = relative_mul((a, b), (a, b), d)
+            if sq == (0, 0):
                 continue
-            assert is_square_in_K(sq), (d, x)
+            assert sqrt_over_q(*sq, d) is not None, (d, a, b)
             # rational nonsquare multiples of a square are not squares
-            bad = QuadInteger(sq.a * 3, sq.b * 3, K)
-            if not (bad.a == 0 and bad.b == 0):
-                root = sqrt_in_quadratic(bad.a, bad.b, d)
-                if root is not None:
-                    u, v = root
-                    assert u * u + d * v * v == bad.a and 2 * u * v == bad.b
+            bad = (sq[0] * 3, sq[1] * 3)
+            root = sqrt_over_q(*bad, d)
+            if root is not None:
+                u, v = root
+                assert u * u + d * v * v == bad[0] and 2 * u * v == bad[1]
 
 
 def test_sqrt_in_quadratic_edges():
-    assert sqrt_in_quadratic(Fraction(0), Fraction(0), 5) == (0, 0)
-    assert sqrt_in_quadratic(Fraction(20), Fraction(0), 5) == (0, 2)  # (2 sqrt5)^2
-    assert sqrt_in_quadratic(Fraction(-4), Fraction(0), 5) is None
-
-
-def test_quad_integer_powers():
-    K = quadratic_field(2)
-    u = QuadInteger(Fraction(1), Fraction(1), K)
-    cube = u ** 3
-    assert (cube.a, cube.b) == (7, 5)  # (1+sqrt2)^3 = 7 + 5 sqrt2
-    assert (u ** 0).a == 1 and (u ** 0).b == 0
-    assert u.conjugate().norm() == u.norm() == -1
-
-
-def test_quad_integer_validation():
-    K7 = quadratic_field(7)
-    with pytest.raises(ValueError):
-        QuadInteger(Fraction(1, 2), Fraction(1, 2), K7)  # 7 != 1 mod 4
-    K5 = quadratic_field(5)
-    with pytest.raises(ValueError):
-        QuadInteger(Fraction(1, 2), Fraction(1), K5)  # mixed half-integrality
-    with pytest.raises(ValueError):
-        QuadInteger(Fraction(1, 3), Fraction(0), K5)
+    assert sqrt_over_q(0, 0, 5) == (0, 0)
+    assert sqrt_over_q(20, 0, 5) == (0, 2)  # (2 sqrt5)^2
+    assert sqrt_over_q(-4, 0, 5) is None
 
 
 def test_minus_one_is_norm():

@@ -1,12 +1,11 @@
 """The package's records are immutable tuples, validated on construction.
 
 These pin what a record promises its callers: the exception class a bad
-constructor argument raises, no assignment to a field, hashes that agree
-with equality, and no tuple arithmetic on QuadInteger.
+constructor argument raises, no assignment to a field, and hashes that
+agree with equality.
 """
 
 import copy
-from fractions import Fraction
 
 import pytest
 
@@ -15,7 +14,7 @@ from twoclass.biquad import BiquadField, EvenRadicand, biquad_field
 from twoclass.classify import SymbolSpec, predict, shape_of, verify_against_oracle
 from twoclass.forms import Abelian2Group
 from twoclass.genus import genus_field
-from twoclass.quadfield import QuadInteger, fundamental_unit, quadratic_field
+from twoclass.quadfield import fundamental_unit, quadratic_field
 from twoclass.redei import s1_decompositions
 
 
@@ -35,8 +34,6 @@ from twoclass.redei import s1_decompositions
         (lambda: SymbolSpec((5, 7), (((2, 1), 1), ((2, 1), -1))), ValueError),
         (lambda: BiquadField(factor_squarefree(10)), EvenRadicand),
         (lambda: BiquadField(factor_squarefree(1)), EvenRadicand),
-        (lambda: QuadInteger(Fraction(1, 3), 0, quadratic_field(5)), ValueError),
-        (lambda: QuadInteger(Fraction(1, 2), Fraction(1, 2), quadratic_field(7)), ValueError),
     ],
 )
 def test_validated_constructors_raise_their_exception_class(build, error):
@@ -46,8 +43,6 @@ def test_validated_constructors_raise_their_exception_class(build, error):
 
 
 def _one_of_each():
-    # 1365 matches a ppqq condition, and a ConditionMatch has no hash, so
-    # the report is that of 1105
     fs = factor_squarefree(1365)
     report = predict(fs)
     comparison = verify_against_oracle(report)
@@ -59,13 +54,13 @@ def _one_of_each():
         shape_of(fs),
         report.structure_K,
         report.tower,
-        predict(1105),
+        report,
         comparison.checks[-1],
         comparison,
         genus_field(1365),
         quadratic_field(1365),
         fundamental_unit(1365),
-        fundamental_unit(1365).value,
+        report.ppqq_condition,
         s1_decompositions(1365)[1],
     ]
 
@@ -77,9 +72,8 @@ def test_one_record_of_every_kind():
 
 @pytest.mark.parametrize("record", _one_of_each(), ids=lambda r: type(r).__name__)
 def test_fields_cannot_be_assigned(record):
-    field = "a" if isinstance(record, QuadInteger) else record._fields[0]
     with pytest.raises(AttributeError):
-        setattr(record, field, None)
+        setattr(record, record._fields[0], None)
 
 
 @pytest.mark.parametrize("record", _one_of_each(), ids=lambda r: type(r).__name__)
@@ -93,16 +87,6 @@ def test_trusted_factorization_equals_the_validated_one():
     fs = doubled(factor_squarefree(1365))
     assert fs == FactoredSquarefree(2730, (2, 3, 5, 7, 13))
     assert hash(fs) == hash(FactoredSquarefree(2730, (2, 3, 5, 7, 13)))
-
-
-def test_quad_integer_is_no_tuple():
-    x = fundamental_unit(5).value
-    with pytest.raises(TypeError):
-        x + x
-    with pytest.raises(TypeError):
-        2 * x
-    assert x * x == x**2
-    assert -x != x
 
 
 def test_a_group_is_not_its_factor_tuple():

@@ -7,9 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twoclass.biquad import biquad_field
-from twoclass.quadfield import relative_mul, sign_of_quadratic, sqrt_in_quadratic
 
-from k1_reference import BiquadNumber, sqrt_in_K1
+from k1_reference import (
+    BiquadNumber,
+    relative_mul,
+    relative_sign,
+    relative_sqrt,
+    sqrt_in_K1,
+    sqrt_rational,
+)
 
 QUAD_D = (2, 3, 5, 7, 13, 15)
 K1_D = (5, 13, 21, 1365)
@@ -37,21 +43,23 @@ def k1_elements(draw, denominators):
 @given(st.sampled_from(QUAD_D), rationals, rationals)
 def test_quadratic_sign_is_multiplicative_on_the_norm(d, a, b):
     norm = a * a - d * b * b
-    assert sign_of_quadratic(a, b, d) * sign_of_quadratic(a, -b, d) == sign(norm)
+    assert relative_sign((a, b), d, sign) * relative_sign((a, -b), d, sign) == sign(norm)
 
 
 @kernel
 @given(st.sampled_from(QUAD_D), rationals, rationals, rationals, rationals)
 def test_quadratic_sign_of_product(d, a, b, c, e):
     p = relative_mul((a, b), (c, e), d)
-    assert sign_of_quadratic(*p, d) == sign_of_quadratic(a, b, d) * sign_of_quadratic(c, e, d)
+    assert relative_sign(p, d, sign) == (
+        relative_sign((a, b), d, sign) * relative_sign((c, e), d, sign)
+    )
 
 
 @kernel
 @given(st.sampled_from(QUAD_D), rationals, rationals)
 def test_quadratic_sqrt_of_a_square(d, a, b):
     x = relative_mul((a, b), (a, b), d)
-    root = sqrt_in_quadratic(*x, d)
+    root = relative_sqrt(x, d, sqrt_rational)
     assert root is not None
     assert relative_mul(root, root, d) == x
 
