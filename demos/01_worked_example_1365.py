@@ -8,7 +8,6 @@ for #A(K1), and the indefinite-form oracle as the independent referee.
 """
 
 from twoclass import (
-    biquad_field,
     first_layer_rank,
     genus_field,
     hasse_unit_index,
@@ -59,10 +58,9 @@ print("ordinary group of K':    ", ordinary_prime, "->", two_sylow(ordinary_prim
 print()
 
 print("-- the first tower layer K1 --")
-field = biquad_field(d)
 print("ramified places of Q(sqrt2) in K1:", ramified_place_count(d))
 print("rank A(K1) =", first_layer_rank(d))
-Q = hasse_unit_index(field)
+Q = hasse_unit_index(d)
 print("Hasse unit index Q(K1) =", Q)
 hK = two_sylow(ordinary).order
 hKp = two_sylow(ordinary_prime).order

@@ -14,8 +14,6 @@ from .arith import (
     two_power_residue_test,
 )
 from .biquad import (
-    BiquadField,
-    biquad_field,
     first_layer_rank,
     hasse_unit_index,
     kuroda_order,
@@ -59,11 +57,9 @@ from .genus import (
 )
 from .quadfield import (
     FundamentalUnit,
-    QuadraticField,
     discriminant,
     fundamental_unit,
     minus_one_is_norm,
-    quadratic_field,
     splitting_in,
     unit_norm,
 )

@@ -11,8 +11,6 @@ its vectors is constant (Kubota, Nagoya Math. J. 10, 1956).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .arith import (
     FactoredSquarefree,
     as_factored,
@@ -21,7 +19,7 @@ from .arith import (
     two_power_residue_test,
 )
 from .forms import Abelian2Group
-from .quadfield import fundamental_unit, quadratic_field
+from .quadfield import fundamental_unit
 
 
 class EvenRadicand(ValueError):
@@ -36,23 +34,13 @@ class Inconsistent(ValueError):
     """Rank and group order fit no abelian 2-group."""
 
 
-class _BiquadFieldFields(NamedTuple):
-    d: FactoredSquarefree
-
-
-class BiquadField(_BiquadFieldFields):
-    """Q(sqrt(2), sqrt(d)) for odd square-free d >= 3."""
-
-    __slots__ = ()
-
-    def __new__(cls, d: FactoredSquarefree) -> BiquadField:
-        if d.value % 2 == 0 or d.value < 3:
-            raise EvenRadicand("need odd square-free d >= 3")
-        return tuple.__new__(cls, (d,))
-
-
-def biquad_field(d) -> BiquadField:
-    return BiquadField(as_factored(d))
+def _odd_radicand(d) -> FactoredSquarefree:
+    """The factored d of K1, an int or a FactoredSquarefree, which must be
+    odd square-free d >= 3."""
+    fs = as_factored(d)
+    if fs.value % 2 == 0 or fs.value < 3:
+        raise EvenRadicand("need odd square-free d >= 3")
+    return fs
 
 
 def ramified_place_count(d) -> int:
@@ -62,9 +50,7 @@ def ramified_place_count(d) -> int:
     in Q(sqrt(2)) (p = +/-1 mod 8), one otherwise.  The place above 2
     ramifies exactly when d = 3 (mod 4).
     """
-    fs = as_factored(d)
-    if fs.value % 2 == 0 or fs.value < 3:
-        raise EvenRadicand("need odd square-free d >= 3")
+    fs = _odd_radicand(d)
     total = sum(2 if p % 8 in (1, 7) else 1 for p in fs.primes)
     if fs.value % 4 == 3:
         total += 1
@@ -114,7 +100,7 @@ def _parity_vector(X: int, norm: int, primes) -> int:
     return vector
 
 
-def hasse_unit_index(field: BiquadField) -> int:
+def hasse_unit_index(d) -> int:
     """Q(K1) = [E(K1) : <-1, e_2, e_d, e_2d>], in rational integers only.
 
     Only totally positive products of e_d, e_2d and e_2 = 1 + sqrt(2) can be
@@ -125,13 +111,13 @@ def hasse_unit_index(field: BiquadField) -> int:
     square class lies in <2, d>.  The squares among 1 and the candidates
     form a group, and Q is its order (Kubota, Nagoya Math. J. 10, 1956).
     """
-    primes = field.d.primes
-    full = (1 << len(primes)) - 1
+    fs = _odd_radicand(d)
+    full = (1 << len(fs.primes)) - 1
     vectors, norms = [], []
-    for sub in (field.d, doubled(field.d)):
-        unit = fundamental_unit(quadratic_field(sub))
+    for sub in (fs, doubled(fs)):
+        unit = fundamental_unit(sub)
         norms.append(unit.norm)
-        vectors.append(_parity_vector(unit.X, unit.norm, primes))
+        vectors.append(_parity_vector(unit.X, unit.norm, fs.primes))
     v_d, v_2d = vectors
     if norms == [1, 1]:
         candidates = (v_d, v_2d, v_d ^ v_2d)

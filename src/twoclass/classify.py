@@ -32,7 +32,6 @@ from .arith import (
     kronecker,
 )
 from .biquad import (
-    biquad_field,
     first_layer_rank,
     hasse_unit_index,
     kuroda_order,
@@ -685,7 +684,7 @@ class OracleComparison(NamedTuple):
 def _kuroda_order_K1(fs, sK, sKp) -> int:
     """#A(K1) from the Hasse unit index and the oracle's 2-parts of
     A(K), A(K') and A(Q(sqrt(2)))."""
-    Q = hasse_unit_index(biquad_field(fs))
+    Q = hasse_unit_index(fs)
     h2 = class_group_summary(8).ordinary.order
     return kuroda_order(Q, sK.ordinary.order, sKp.ordinary.order, h2)
 

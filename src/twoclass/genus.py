@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import as_factored, factorize, is_prime
-from .quadfield import QuadraticField, quadratic_field
+from .arith import factorize, is_prime
+from .quadfield import discriminant, real_radicand
 
 
 class EvenPrime(ValueError):
@@ -115,27 +115,22 @@ def f2_span(radicands) -> frozenset:
     return frozenset(span)
 
 
-def _field_of(K) -> QuadraticField:
-    return K if isinstance(K, QuadraticField) else quadratic_field(K)
-
-
-def narrow_genus_field(K) -> GenusField:
+def narrow_genus_field(d) -> GenusField:
     """Generated by the square roots of all prime discriminants of D_K."""
-    K = _field_of(K)
-    discs = _prime_discriminants_of(K.discriminant, K.primes)
+    fs = real_radicand(d)
+    discs = _prime_discriminants_of(discriminant(fs), fs.primes)
     rads = tuple(_radicand(q) for q in discs)
     return GenusField(rads, 2 ** len(rads), "narrow")
 
 
-def genus_field(K) -> GenusField:
+def genus_field(d) -> GenusField:
     """The totally real subfield of the narrow genus field.
 
     Positive radicands survive; negative radicands are replaced by their
     pairwise products with the first negative one.  [K_G : Q] = 2^(t-1)
     when a negative radicand exists, else 2^t.
     """
-    K = _field_of(K)
-    narrow = narrow_genus_field(K)
+    narrow = narrow_genus_field(d)
     pos = [r for r in narrow.radicands if r > 0]
     neg = [r for r in narrow.radicands if r < 0]
     if neg:
@@ -144,35 +139,29 @@ def genus_field(K) -> GenusField:
     return GenusField(tuple(pos), 2 ** len(pos), "real")
 
 
-def _ramification(K) -> tuple[int, bool]:
-    """(t, [q | d]) for K given as a QuadraticField, a FactoredSquarefree or
-    an int: t counts the primes dividing D_K, and the flag says whether a
-    prime = 3 (mod 4) divides d.  A bare int is factored once."""
-    if isinstance(K, QuadraticField):
-        d, primes = K.d, K.primes
-    else:
-        fs = as_factored(K)
-        d, primes = fs.value, fs.primes
-    if d < 2:
-        raise ValueError("real quadratic field needs square-free d >= 2")
-    t = len(primes) + (d % 4 == 3)
-    return t, any(p % 4 == 3 for p in primes)
+def _ramification(d) -> tuple[int, bool]:
+    """(t, [q | d]) for d an int or a FactoredSquarefree: t counts the
+    primes dividing D_K, and the flag says whether a prime = 3 (mod 4)
+    divides d.  A bare int is factored once."""
+    fs = real_radicand(d)
+    t = len(fs.primes) + (fs.value % 4 == 3)
+    return t, any(p % 4 == 3 for p in fs.primes)
 
 
-def narrow_genus_rank(K) -> int:
+def narrow_genus_rank(d) -> int:
     """2-rank of the narrow class group: t - 1."""
-    t, _ = _ramification(K)
+    t, _ = _ramification(d)
     return t - 1
 
 
-def genus_rank(K) -> int:
+def genus_rank(d) -> int:
     """2-rank of the ordinary class group: t - 1 - [q | d], the log2 of
     [K_G : K]."""
-    t, has_q = _ramification(K)
+    t, has_q = _ramification(d)
     return t - 1 - has_q
 
 
-def genus_fixed_order(K) -> int:
+def genus_fixed_order(d) -> int:
     """Order of the subgroup of A(K) fixed by Gal(K/Q): 2^(t-1) / n.
 
     t counts the ramified places of Q in K (the prime divisors of D_K) and
@@ -180,4 +169,4 @@ def genus_fixed_order(K) -> int:
     else 2.  n = 2 exactly when some prime q = 3 (mod 4) divides d, so the
     order is 2^rank A(K).
     """
-    return 2 ** genus_rank(K)
+    return 2 ** genus_rank(d)

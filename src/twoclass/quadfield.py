@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import (
+    FactoredSquarefree,
     as_factored,
     hilbert_symbol,
     kronecker,
@@ -34,33 +35,24 @@ class SplitType(enum.Enum):
     RAMIFIED = "ramified"
 
 
-class QuadraticField(NamedTuple):
-    """Q(sqrt(d)) for square-free d >= 2."""
-
-    d: int
-    primes: tuple[int, ...]
-    discriminant: int
-
-    def __repr__(self) -> str:
-        return f"Q(sqrt({self.d}))"
-
-
 def discriminant(d) -> int:
     """d when d = 1 (mod 4), else 4d."""
     d = int(as_factored(d))
     return d if d % 4 == 1 else 4 * d
 
 
-def quadratic_field(d) -> QuadraticField:
+def real_radicand(d) -> FactoredSquarefree:
+    """The factored d of Q(sqrt(d)), an int or a FactoredSquarefree, which
+    must be square-free d >= 2."""
     fs = as_factored(d)
     if fs.value < 2:
         raise ValueError("real quadratic field needs square-free d >= 2")
-    return QuadraticField(fs.value, fs.primes, discriminant(fs))
+    return fs
 
 
-def splitting_in(p: int, field: QuadraticField) -> SplitType:
-    """Behaviour of the rational prime p in the field."""
-    D = field.discriminant
+def splitting_in(p: int, d) -> SplitType:
+    """Behaviour of the rational prime p in Q(sqrt(d))."""
+    D = discriminant(real_radicand(d))
     if D % p == 0:
         return SplitType.RAMIFIED
     return SplitType.SPLIT if kronecker(D, p) == 1 else SplitType.INERT
@@ -131,25 +123,19 @@ def _cf_unit(d: int) -> tuple[int, int, int]:
     return X, Y, period
 
 
-def fundamental_unit(field) -> FundamentalUnit:
+def fundamental_unit(d) -> FundamentalUnit:
     """Fundamental unit > 1 of Q(sqrt(d)), from the CF expansion."""
-    if isinstance(field, QuadraticField):
-        K = field
-    else:
-        K = quadratic_field(field)
-    X, Y, period = _cf_unit(K.d)
+    X, Y, period = _cf_unit(real_radicand(d).value)
     return FundamentalUnit(X, Y, -1 if period % 2 else 1, period)
 
 
-def unit_norm(field) -> int:
+def unit_norm(d) -> int:
     """Norm of the fundamental unit, (-1)**(CF period length)."""
-    return fundamental_unit(field).norm
+    return fundamental_unit(d).norm
 
 
-def minus_one_is_norm(field) -> bool:
+def minus_one_is_norm(d) -> bool:
     """True iff -1 is a norm from Q(sqrt(d)), by local symbols at p | 2d, oo."""
-    if not isinstance(field, QuadraticField):
-        field = quadratic_field(field)
-    d = field.d
-    places = [math.inf, 2] + [p for p in field.primes if p != 2]
-    return all(hilbert_symbol(-1, d, p) == 1 for p in places)
+    fs = real_radicand(d)
+    places = [math.inf, 2] + [p for p in fs.primes if p != 2]
+    return all(hilbert_symbol(-1, fs.value, p) == 1 for p in places)

@@ -7,7 +7,8 @@ it takes the base field's sign and square root as arguments.  Over Q (with
 _sign and sqrt_rational) it decides squares in Q(sqrt(d)); K1 is the
 relative quadratic extension Q(sqrt(2))(sqrt(d)), so the same kernel serves
 over Q(sqrt(2)).  `reference_hasse_unit_index` finds Q(K1) by taking exact
-square roots of the signed unit products in K1.  Numbers are integer
+square roots of the signed unit products in K1, a field named by the
+FactoredSquarefree of its odd d.  Numbers are integer
 numerators over one denominator (4 in K1, an unreduced q in Q(sqrt(2))), so
 that only the square roots over Q build a Fraction.
 """
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from twoclass.arith import FactoredSquarefree
-from twoclass.biquad import BiquadField
-from twoclass.quadfield import fundamental_unit, quadratic_field
+from twoclass.quadfield import fundamental_unit
 
 
 # --- the relative-quadratic kernel: a + b*sqrt(d) over a base field ------
@@ -165,9 +165,9 @@ class BiquadNumber:
     """
 
     quarters: tuple[int, int, int, int]
-    field: BiquadField
+    field: FactoredSquarefree
 
-    def __init__(self, coordinates, field: BiquadField) -> None:
+    def __init__(self, coordinates, field: FactoredSquarefree) -> None:
         quarters = []
         for c in coordinates:
             c = Fraction(c)
@@ -178,7 +178,7 @@ class BiquadNumber:
         object.__setattr__(self, "field", field)
 
     @classmethod
-    def _of_quarters(cls, quarters, field: BiquadField) -> "BiquadNumber":
+    def _of_quarters(cls, quarters, field: FactoredSquarefree) -> "BiquadNumber":
         x = object.__new__(cls)
         object.__setattr__(x, "quarters", tuple(quarters))
         object.__setattr__(x, "field", field)
@@ -199,9 +199,9 @@ class BiquadNumber:
         return _F(x0, x1), _F(x2, x3)
 
     def __mul__(self, other: "BiquadNumber") -> "BiquadNumber":
-        if other.field.d.value != self.field.d.value:
+        if other.field.value != self.field.value:
             raise ValueError("mixed fields")
-        A, B = relative_mul(self._over_F(), other._over_F(), self.field.d.value)
+        A, B = relative_mul(self._over_F(), other._over_F(), self.field.value)
         # the product over 16, kept only when its denominators divide 4
         sixteenths = (A[0], A[1], B[0], B[1])
         if any(c % 4 for c in sixteenths):
@@ -217,7 +217,7 @@ class BiquadNumber:
     def embedding_sign(self, flip_sqrt2: bool, flip_sqrtd: bool) -> int:
         """Exact sign of the image under the chosen real embedding."""
         x = self._over_F(flip_sqrt2, flip_sqrtd)
-        return relative_sign(x, self.field.d.value, _F.sign)
+        return relative_sign(x, self.field.value, _F.sign)
 
     def totally_positive(self) -> bool:
         return all(
@@ -234,7 +234,7 @@ def sqrt_in_K1(x: BiquadNumber):
     (C + D*sqrt(d))^2 = 4x with relative_sqrt; the root of x is
     half that root.
     """
-    root = relative_sqrt(x._over_F(), x.field.d.value, _F.sqrt)
+    root = relative_sqrt(x._over_F(), x.field.value, _F.sqrt)
     if root is None:
         return None
     return BiquadNumber(
@@ -251,21 +251,20 @@ def is_square_in_K1(x: BiquadNumber) -> bool:
     return sqrt_in_K1(x) is not None
 
 
-def subfield_units(field: BiquadField) -> tuple[BiquadNumber, BiquadNumber, BiquadNumber]:
+def subfield_units(field: FactoredSquarefree) -> tuple[BiquadNumber, BiquadNumber, BiquadNumber]:
     """Fundamental units of Q(sqrt(d)), Q(sqrt(2d)), Q(sqrt(2)) inside K1,
     each a + b*sqrt(r) with b in the coordinate of its own sqrt(r)."""
-    fs = field.d
-    fs2 = FactoredSquarefree(2 * fs.value, (2,) + fs.primes)
+    fs2 = FactoredSquarefree(2 * field.value, (2,) + field.primes)
     units = []
-    for sub, slot in ((fs, 2), (fs2, 3), (FactoredSquarefree(2, (2,)), 1)):
-        unit = fundamental_unit(quadratic_field(sub))
+    for sub, slot in ((field, 2), (fs2, 3), (FactoredSquarefree(2, (2,)), 1)):
+        unit = fundamental_unit(sub)
         quarters = [2 * unit.X, 0, 0, 0]  # (X + Y*sqrt(r))/2 in quarters
         quarters[slot] = 2 * unit.Y
         units.append(BiquadNumber._of_quarters(quarters, field))
     return tuple(units)
 
 
-def unit_square_relations(field: BiquadField) -> list[tuple[int, int, int]]:
+def unit_square_relations(field: FactoredSquarefree) -> list[tuple[int, int, int]]:
     """Exponent vectors (a, b, c) != 0 with +/- e1^a e2^b e3^c a square in K1."""
     e1, e2, e3 = subfield_units(field)
     e12 = e1 * e2
@@ -294,6 +293,6 @@ def _f2_rank(vectors) -> int:
     return len(basis)
 
 
-def reference_hasse_unit_index(field: BiquadField) -> int:
+def reference_hasse_unit_index(field: FactoredSquarefree) -> int:
     """Q(K1) = [E(K1) : <-1, e1, e2, e3>] = 2^rank of the square relations."""
     return 1 << _f2_rank(unit_square_relations(field))

@@ -11,7 +11,7 @@ import math
 import random
 
 from twoclass.arith import squarefree_range
-from twoclass.biquad import biquad_field, first_layer_rank, hasse_unit_index, kuroda_order
+from twoclass.biquad import first_layer_rank, hasse_unit_index, kuroda_order
 from twoclass.classify import (
     SymbolSpec,
     find_prime_tuple,
@@ -126,7 +126,7 @@ def _ppqq_chain(d):
     assert report.structure_K1.value == Abelian2Group((2, 4))
     comparison = verify_against_oracle(d, oracle_limit=4_000_000)
     assert comparison.ok, (d, comparison.to_json())
-    assert hasse_unit_index(biquad_field(d)) == 1, d
+    assert hasse_unit_index(d) == 1, d
     return match
 
 

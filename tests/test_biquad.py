@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from twoclass.arith import squarefree_range
+from twoclass.arith import as_factored, squarefree_range
 from twoclass.biquad import (
     EvenRadicand,
     Inconsistent,
     NonIntegral,
-    biquad_field,
     first_layer_rank,
     hasse_unit_index,
     kuroda_order,
@@ -18,7 +17,6 @@ from twoclass.forms import Abelian2Group
 from twoclass.quadfield import (
     SplitType,
     fundamental_unit,
-    quadratic_field,
     splitting_in,
     unit_norm,
 )
@@ -51,7 +49,7 @@ def test_ramified_place_count_examples():
 
 def test_ramified_place_count_matches_splitting_simulation():
     # closed form vs direct place counting through splitting_in
-    K2 = quadratic_field(2)
+    K2 = as_factored(2)
     for fs in squarefree_range(3, 50000):
         if fs.value % 2 == 0:
             continue
@@ -85,7 +83,7 @@ def test_first_layer_rank_obstruction_branch():
 
 
 def test_biquad_number_arithmetic():
-    K = biquad_field(5)
+    K = as_factored(5)
     x = mk(K, 0, 1, 0, 0)
     y = mk(K, 0, 0, 1, 0)
     assert (x * x).coordinates == (2, 0, 0, 0)
@@ -100,7 +98,7 @@ def test_biquad_number_arithmetic():
 
 
 def test_embedding_signs():
-    K = biquad_field(5)
+    K = as_factored(5)
     x = mk(K, 0, 1, 0, 0)  # sqrt(2)
     assert x.embedding_sign(False, False) == 1
     assert x.embedding_sign(True, False) == -1
@@ -113,7 +111,7 @@ def test_embedding_signs():
 
 
 def test_is_square_in_K1_examples():
-    K = biquad_field(5)
+    K = as_factored(5)
     sq = mk(K, 3, 2, 0, 0)  # (1+sqrt2)^2
     assert is_square_in_K1(sq)
     assert not is_square_in_K1(mk(K, -1, 0, 0, 0))
@@ -128,7 +126,7 @@ def test_is_square_roundtrip_random():
 
     rng = random.Random(11)
     for d in (5, 13, 21, 1365):
-        K = biquad_field(d)
+        K = as_factored(d)
         for _ in range(25):
             y = mk(K, rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5))
             x = y * y
@@ -144,7 +142,7 @@ def test_square_test_agrees_with_quadratic_criterion():
     for d in (5, 13, 17, 21, 33, 65, 105, 1365):
         fu = fundamental_unit(d)
         a, b = Fraction(fu.X, 2), Fraction(fu.Y, 2)
-        field = biquad_field(d)
+        field = as_factored(d)
         e_K1 = BiquadNumber((a, Fraction(0), b, Fraction(0)), field)
         quad_side = fu.norm == 1 and (
             relative_sqrt((a, b), d, sqrt_rational) is not None
@@ -156,19 +154,19 @@ def test_square_test_agrees_with_quadratic_criterion():
 def test_unit_square_relations_and_hasse_index():
     # Q(sqrt2, sqrt5): the single relation sqrt(e1 e2 e3) gives Q = 2,
     # matching Kuroda: 1 = (1/4) * 2 * 1 * 2 * 1 (class number of K1 is 1)
-    K5 = biquad_field(5)
+    K5 = as_factored(5)
     assert unit_square_relations(K5) == [(1, 1, 1)]
     assert hasse_unit_index(K5) == 2
     assert kuroda_order(hasse_unit_index(K5), 1, 2, 1) == 1
     # the worked d = 1365 field has no relations at all
-    K1365 = biquad_field(1365)
+    K1365 = as_factored(1365)
     assert unit_square_relations(K1365) == []
     assert hasse_unit_index(K1365) == 1
 
 
 def test_triple_product_square_value():
     # explicit: e(5) e(10) e(2) = (13 + 8 sqrt2 + 5 sqrt5 + 4 sqrt10)/2
-    K5 = biquad_field(5)
+    K5 = as_factored(5)
     e1, e2, e3 = subfield_units(K5)
     prod = e1 * e2 * e3
     assert prod.coordinates == (
@@ -193,8 +191,7 @@ def test_hasse_index_1885():
     # 2^rank
     from twoclass.forms import class_group_summary
 
-    field = biquad_field(1885)
-    Q = hasse_unit_index(field)
+    Q = hasse_unit_index(1885)
     assert Q in (1, 2, 4, 8)
     hK = class_group_summary(1885).ordinary.order
     hKp = class_group_summary(8 * 1885).ordinary.order
@@ -218,7 +215,7 @@ def test_hasse_index_1885():
 def test_hasse_index_per_sign_case(d, norm_d, norm_2d, Q):
     # one field for each pair of unit norms and each index that pair allows
     assert (unit_norm(d), unit_norm(2 * d)) == (norm_d, norm_2d)
-    field = biquad_field(d)
+    field = as_factored(d)
     assert hasse_unit_index(field) == Q
     assert reference_hasse_unit_index(field) == Q
 
@@ -229,7 +226,7 @@ def test_hasse_index_matches_exact_roots_in_K1():
     fields = list(squarefree_range(3, 20000, 2))
     assert len(fields) == 8103
     for fs in fields + [40000159]:
-        field = biquad_field(fs)
+        field = as_factored(fs)
         assert hasse_unit_index(field) == reference_hasse_unit_index(field), fs
 
 

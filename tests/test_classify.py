@@ -281,12 +281,12 @@ def test_tension_field_kuroda_consistency():
     pattern promises first-layer rank 2 while the rank formula gives 3
     (113 = 1 mod 8 and 2^28 = 1 mod 113).  All computable data stay
     consistent with the rank formula: Kuroda gives #A(K1) = 8 >= 2^3."""
-    from twoclass.biquad import biquad_field, hasse_unit_index, kuroda_order
+    from twoclass.biquad import hasse_unit_index, kuroda_order
     from twoclass.forms import class_group_summary
 
     assert any("obstruction" in flag for flag in predict(7345).flags)
     assert first_layer_rank(7345) == 3
-    Q = hasse_unit_index(biquad_field(7345))
+    Q = hasse_unit_index(7345)
     order = kuroda_order(
         Q,
         class_group_summary(7345).ordinary.order,

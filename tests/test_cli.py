@@ -387,6 +387,21 @@ def test_input_beyond_2_64_names_the_supported_range(capsys):
         assert code == 0 and doc["command"] == argv[0], argv
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["unit", "1"], "error: real quadratic field needs square-free d >= 2"),
+        (["unit", "12"], "error: 2**2 divides 12"),
+        (["unit", "0"], "error: factorize expects n >= 1"),
+        (["classify", "10"], "error: predictions are for odd square-free d >= 3"),
+    ],
+)
+def test_bad_d_exits_1_with_one_line(capsys, argv, message):
+    capsys.readouterr()
+    assert run_json(argv) == (1, None, "")
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 GOLDEN_STDOUT = {
     ("verify", "--max", "4000"): (
         "c7948d9d35d014d06770ce42ebcd36ab5f3a4c5d5a1bc69d408cad4a84a631e4"

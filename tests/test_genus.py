@@ -17,7 +17,7 @@ from twoclass.genus import (
     prime_discriminants,
     starred_prime,
 )
-from twoclass.quadfield import discriminant, minus_one_is_norm, quadratic_field
+from twoclass.quadfield import discriminant, minus_one_is_norm
 
 
 def test_starred_prime():
@@ -97,9 +97,9 @@ def test_genus_rank_examples():
 
 def test_closed_form_ranks_match_the_genus_fields():
     # the ranks read t and [q | d] off the carried primes; the fields are
-    # the definition, whatever form the field is handed in
+    # the definition, whether d is handed in as an int or factored
     for fs in squarefree_range(2, 10**5):
-        for K in (fs.value, fs, quadratic_field(fs)):
+        for K in (fs.value, fs):
             assert genus_rank(K) == len(genus_field(K).radicands) - 1, fs.value
             assert (
                 narrow_genus_rank(K) == len(narrow_genus_field(K).radicands) - 1
@@ -107,18 +107,17 @@ def test_closed_form_ranks_match_the_genus_fields():
 
 
 def test_genus_fixed_order():
-    assert genus_fixed_order(quadratic_field(1365)) == 4
-    assert genus_fixed_order(quadratic_field(5)) == 1
-    assert genus_fixed_order(quadratic_field(34)) == 2
+    assert genus_fixed_order(1365) == 4
+    assert genus_fixed_order(5) == 1
+    assert genus_fixed_order(34) == 2
 
 
 def test_genus_fixed_order_consistency():
     # 2^(t-1)/n with n = 2 exactly when -1 is not a local norm everywhere
     for fs in squarefree_range(2, 800):
-        K = quadratic_field(fs.value)
-        t = len(prime_discriminants(K.discriminant))
-        expected = 2 ** (t - 1) // (1 if minus_one_is_norm(K) else 2)
-        assert genus_fixed_order(K) == expected
+        t = len(prime_discriminants(discriminant(fs)))
+        expected = 2 ** (t - 1) // (1 if minus_one_is_norm(fs) else 2)
+        assert genus_fixed_order(fs) == expected
 
 
 def test_genus_fixed_order_against_oracle():
@@ -126,10 +125,8 @@ def test_genus_fixed_order_against_oracle():
     # fixed subgroup of A(K) is its 2-torsion: the genus-formula value
     # must equal #A[2] = 2^rank from the forms oracle
     for fs in squarefree_range(2, 2000):
-        K = quadratic_field(fs.value)
-        D = K.discriminant
-        summ = class_group_summary(D)
-        assert genus_fixed_order(K) == 2**summ.ordinary.rank, fs.value
+        summ = class_group_summary(discriminant(fs))
+        assert genus_fixed_order(fs) == 2**summ.ordinary.rank, fs.value
 
 
 def test_rank_two_forces_three_or_four_ramified_primes():

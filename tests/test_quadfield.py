@@ -5,13 +5,19 @@ from fractions import Fraction
 import pytest
 
 from twoclass.arith import NotSquarefree, factor_squarefree, squarefree_range
+from twoclass.biquad import first_layer_rank, hasse_unit_index, ramified_place_count
+from twoclass.genus import (
+    genus_field,
+    genus_rank,
+    narrow_genus_field,
+    narrow_genus_rank,
+)
 from twoclass.quadfield import (
     _cf_unit,
     SplitType,
     discriminant,
     fundamental_unit,
     minus_one_is_norm,
-    quadratic_field,
     splitting_in,
     unit_norm,
 )
@@ -50,19 +56,54 @@ def test_discriminant():
 
 def test_field_construction_rejects():
     with pytest.raises(NotSquarefree):
-        quadratic_field(12)
+        fundamental_unit(12)
     with pytest.raises(ValueError):
-        quadratic_field(1)
+        fundamental_unit(1)
+
+
+FIELD_FUNCTIONS = {
+    f.__name__: f
+    for f in (
+        fundamental_unit,
+        unit_norm,
+        minus_one_is_norm,
+        genus_rank,
+        narrow_genus_rank,
+        genus_field,
+        narrow_genus_field,
+        ramified_place_count,
+        first_layer_rank,
+        hasse_unit_index,
+    )
+}
+FIELD_FUNCTIONS["splitting_in"] = lambda d: [
+    splitting_in(p, d) for p in (2, 3, 5, 7, 11)
+]
+
+
+def _outcome(function, d):
+    try:
+        return function(d)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", FIELD_FUNCTIONS)
+def test_field_functions_take_d_as_an_int_or_factored(name):
+    # d = 1 and, for K1, even d are refused the same way from either input
+    function = FIELD_FUNCTIONS[name]
+    for fs in squarefree_range(1, 3000):
+        d = fs.value
+        assert _outcome(function, d) == _outcome(function, factor_squarefree(d)), d
 
 
 def test_splitting():
-    K2 = quadratic_field(2)
-    assert splitting_in(7, K2) == SplitType.SPLIT
-    assert splitting_in(3, K2) == SplitType.INERT
-    assert splitting_in(5, quadratic_field(5)) == SplitType.RAMIFIED
-    assert splitting_in(2, quadratic_field(7)) == SplitType.RAMIFIED
-    assert splitting_in(2, quadratic_field(17)) == SplitType.SPLIT
-    assert splitting_in(2, quadratic_field(5)) == SplitType.INERT
+    assert splitting_in(7, 2) == SplitType.SPLIT
+    assert splitting_in(3, 2) == SplitType.INERT
+    assert splitting_in(5, 5) == SplitType.RAMIFIED
+    assert splitting_in(2, 7) == SplitType.RAMIFIED
+    assert splitting_in(2, 17) == SplitType.SPLIT
+    assert splitting_in(2, 5) == SplitType.INERT
 
 
 def test_fundamental_unit_examples():

@@ -1,8 +1,8 @@
 """The package's records are immutable tuples, validated on construction.
 
 These pin what a record promises its callers: the exception class a bad
-constructor argument raises, no assignment to a field, and hashes that
-agree with equality.
+constructor argument (or a bad d for K1) raises, no assignment to a field,
+and hashes that agree with equality.
 """
 
 import copy
@@ -10,11 +10,11 @@ import copy
 import pytest
 
 from twoclass.arith import FactoredSquarefree, NotSquarefree, doubled, factor_squarefree
-from twoclass.biquad import BiquadField, EvenRadicand, biquad_field
+from twoclass.biquad import EvenRadicand, hasse_unit_index
 from twoclass.classify import SymbolSpec, predict, shape_of, verify_against_oracle
 from twoclass.forms import Abelian2Group
 from twoclass.genus import genus_field
-from twoclass.quadfield import fundamental_unit, quadratic_field
+from twoclass.quadfield import fundamental_unit
 from twoclass.redei import s1_decompositions
 
 
@@ -32,8 +32,8 @@ from twoclass.redei import s1_decompositions
         (lambda: SymbolSpec((5, 7), (((1, 2), 1),)), ValueError),
         (lambda: SymbolSpec((5, 7), (((2, 1), 0),)), ValueError),
         (lambda: SymbolSpec((5, 7), (((2, 1), 1), ((2, 1), -1))), ValueError),
-        (lambda: BiquadField(factor_squarefree(10)), EvenRadicand),
-        (lambda: BiquadField(factor_squarefree(1)), EvenRadicand),
+        (lambda: hasse_unit_index(10), EvenRadicand),
+        (lambda: hasse_unit_index(1), EvenRadicand),
     ],
 )
 def test_validated_constructors_raise_their_exception_class(build, error):
@@ -50,7 +50,6 @@ def _one_of_each():
         fs,
         Abelian2Group((2, 4)),
         SymbolSpec.of((5, 7), {(2, 1): -1}),
-        biquad_field(fs),
         shape_of(fs),
         report.structure_K,
         report.tower,
@@ -58,7 +57,6 @@ def _one_of_each():
         comparison.checks[-1],
         comparison,
         genus_field(1365),
-        quadratic_field(1365),
         fundamental_unit(1365),
         report.ppqq_condition,
         s1_decompositions(1365)[1],
@@ -67,7 +65,7 @@ def _one_of_each():
 
 def test_one_record_of_every_kind():
     names = {type(r).__name__ for r in _one_of_each()}
-    assert len(names) == 15
+    assert len(names) == 13
 
 
 @pytest.mark.parametrize("record", _one_of_each(), ids=lambda r: type(r).__name__)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twoclass.biquad import biquad_field
+from twoclass.arith import as_factored
 
 from k1_reference import (
     BiquadNumber,
@@ -67,7 +67,7 @@ def test_quadratic_sqrt_of_a_square(d, a, b):
 @kernel
 @given(st.sampled_from(K1_D), k1_elements((1, 2)))
 def test_k1_sign_times_conjugate_sign_is_norm_sign(d, x):
-    K = biquad_field(d)
+    K = as_factored(d)
     _, (x0, x1, x2, x3) = x
     y = BiquadNumber((x0, x1, x2, x3), K)
     conj = BiquadNumber((x0, x1, -x2, -x3), K)
@@ -84,7 +84,7 @@ def test_k1_sign_times_conjugate_sign_is_norm_sign(d, x):
 def test_k1_sign_of_product_in_every_embedding(d, x, y):
     (qx, cx), (qy, cy) = x, y
     assume(4 % (qx * qy) == 0)  # keeps the product's denominators dividing 4
-    K = biquad_field(d)
+    K = as_factored(d)
     u, v = BiquadNumber(cx, K), BiquadNumber(cy, K)
     uv = u * v
     for f2, fd in EMBEDDINGS:
@@ -96,7 +96,7 @@ def test_k1_sign_of_product_in_every_embedding(d, x, y):
 @kernel
 @given(st.sampled_from(K1_D), k1_elements((1, 2)))
 def test_k1_sqrt_of_a_square(d, y):
-    K = biquad_field(d)
+    K = as_factored(d)
     u = BiquadNumber(y[1], K)
     x = u * u
     root = sqrt_in_K1(x)
