@@ -21,6 +21,7 @@ from .biquad import (
     structure_from_rank_and_order,
 )
 from .classify import (
+    FieldResult,
     PredictionReport,
     SymbolSpec,
     find_prime_tuple,
@@ -32,6 +33,7 @@ from .classify import (
     stable_rank_type,
     structure_condition_ppqq,
     structure_condition_qqqq,
+    sweep,
     verify_against_oracle,
 )
 from .forms import (

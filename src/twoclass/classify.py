@@ -15,7 +15,7 @@ factorization of an odd square-free d:
 predict() assembles ranks (genus theory and the first-layer rank formula),
 structures (where a classifier fires), the Fukuda tower claim, and tension
 flags; verify_against_oracle() replays every oracle-checkable claim
-against the form class groups.
+against the form class groups; sweep() runs both over a range of d.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .arith import (
     doubled,
     is_prime,
     kronecker,
+    squarefree_range,
 )
 from .biquad import (
     first_layer_rank,
@@ -757,3 +758,31 @@ def verify_against_oracle(
                 "yet no listed condition matches"
             )
     return OracleComparison(fs.value, tuple(checks), tuple(findings))
+
+
+
+class FieldResult(NamedTuple):
+    """One field of a sweep."""
+
+    report: PredictionReport
+    status: str  # "ok", "mismatch", "out-of-range" or "skipped"
+    comparison: Optional[OracleComparison]  # for "ok" and "mismatch" only
+
+
+def sweep(lo, hi, verify=False, oracle_limit=DEFAULT_ORACLE_LIMIT, shape=None):
+    """A FieldResult for each odd square-free d in [lo, hi), in order; a shape
+    such as ("p", "p", "q", "q") skips every other shape before the oracle."""
+    # lazily: each field is predicted while the primality answers for its
+    # primes are fresh in arith's memo, and no sweep holds all its fields
+    for fs in squarefree_range(max(lo, 3) | 1, hi, 2):
+        report = predict(fs)
+        if shape is not None and shape != (report.shape and report.shape.pattern):
+            continue
+        status, comparison = "skipped", None
+        if verify:
+            try:
+                comparison = verify_against_oracle(report, oracle_limit)
+                status = "ok" if comparison.ok else "mismatch"
+            except OracleRangeExceeded:
+                status = "out-of-range"
+        yield FieldResult(report, status, comparison)

@@ -14,9 +14,10 @@ import csv
 import functools
 import json
 import os
+import re
 import sys
 
-from .arith import BeyondPrimalityRange, NotSquarefree, squarefree_range
+from .arith import BeyondPrimalityRange, NotSquarefree
 from .classify import (
     DEFAULT_ORACLE_LIMIT,
     NotFoundWithinBound,
@@ -24,6 +25,7 @@ from .classify import (
     SymbolSpec,
     find_prime_tuple,
     predict,
+    sweep,
     verify_against_oracle,
 )
 from .forms import narrow_class_group, ordinary_class_group, two_sylow
@@ -57,6 +59,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _shape(text: str) -> str:
+    """The argparse type of --shape: "" (no filter), or 3 or 4 roles as in
+    the shape column, 2 before p before q, with one 2 at most."""
+    roles = r"(2,)?(p,)*(q,)*"
+    if text and not (text.count(",") in (2, 3) and re.fullmatch(roles, text + ",")):
+        raise argparse.ArgumentTypeError(f"{text!r} is not 3 or 4 of 2, p, q in order")
+    return text
+
+
 def _document(command: str, inputs: dict, results, mismatches=()) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -67,9 +78,11 @@ def _document(command: str, inputs: dict, results, mismatches=()) -> dict:
     }
 
 
-def _emit(doc: dict, out) -> None:
+def _emit(doc: dict, out) -> int:
+    """Write doc; the exit code is 2 when it lists a mismatch, else 0."""
     json.dump(doc, out, indent=2)
     out.write("\n")
+    return 2 if doc["mismatches"] else 0
 
 
 # --- row assembly for sweeps -----------------------------------------------
@@ -94,48 +107,26 @@ def _structure_str(claim) -> str:
     return "+".join(f"Z/{f}" for f in claim.value.factors)
 
 
-def _shape_str(report) -> str:
-    return "" if report.shape is None else ",".join(report.shape.pattern)
-
-
-def _row_for(d, do_verify: bool, oracle_limit: int, shape: str | None) -> dict | None:
-    """The sweep row of d (an int or the sieve's FactoredSquarefree), or None
-    when a shape filter is set and d fails it."""
-    report = predict(d)
-    if shape and _shape_str(report) != shape:
-        return None
+def _row(result) -> list:
+    """The CSV_COLUMNS values of one classify.sweep result."""
+    report = result.report
     provenance = []
     if report.rank_pattern is not None:
         provenance.append(f"rank pattern ({report.rank_pattern})")
     if report.structure_K is not None:
         provenance.append(report.structure_K.source)
-    status = "skipped"
-    mismatches = []
-    findings = []
-    if do_verify:
-        try:
-            comparison = verify_against_oracle(report, oracle_limit)
-            status = "ok" if comparison.ok else "mismatch"
-            mismatches = [c.to_json() for c in comparison.mismatches]
-            findings = list(comparison.findings)
-        except OracleRangeExceeded:
-            status = "out-of-range"
-    return {
-        "findings": findings,
-        "row": {
-            "d": report.d,
-            "shape": _shape_str(report),
-            "rank_K": report.rank_K.value,
-            "rank_Kprime": report.rank_Kprime.value,
-            "rank_K1": report.rank_K1.value,
-            "structure_K": _structure_str(report.structure_K),
-            "structure_Kprime": _structure_str(report.structure_Kprime),
-            "structure_K1": _structure_str(report.structure_K1),
-            "provenance": "; ".join(provenance),
-            "oracle_status": status,
-        },
-        "mismatches": mismatches,
-    }
+    return [
+        report.d,
+        "" if report.shape is None else ",".join(report.shape.pattern),
+        report.rank_K.value,
+        report.rank_Kprime.value,
+        report.rank_K1.value,
+        _structure_str(report.structure_K),
+        _structure_str(report.structure_Kprime),
+        _structure_str(report.structure_K1),
+        "; ".join(provenance),
+        result.status,
+    ]
 
 
 # --- subcommands ------------------------------------------------------------
@@ -145,62 +136,43 @@ def _cmd_classify(args, out) -> int:
     report = predict(args.d)
     mismatches = []
     results = {"report": report.to_json()}
-    code = 0
     if args.verify:
         comparison = verify_against_oracle(report, args.oracle_limit)
         results["oracle"] = comparison.to_json()
         mismatches = [c.to_json() for c in comparison.mismatches]
-        if mismatches:
-            code = 2
-    _emit(
-        _document("classify", {"d": args.d, "verify": args.verify}, results, mismatches),
-        out,
-    )
-    return code
+    inputs = {"d": args.d, "verify": args.verify}
+    return _emit(_document("classify", inputs, results, mismatches), out)
 
 
-def _sweep_rows(args, do_verify: bool, shape: str | None = None):
-    """Rows for every odd square-free d in [--min, --max) of the given shape.
-
-    The range is checked at once; the rows are built as they are consumed.
-    """
+def _check_range(args) -> None:
+    """Refuse a sweep's --min/--max before anything is sieved or written."""
     if args.max <= args.min:
         raise UsageError("--max must exceed --min")
     if args.max > SQRT_SIEVE_LIMIT:
         raise UsageError(f"--max must not exceed {SQRT_SIEVE_LIMIT}")
-    # lazily: each field is predicted while the primality answers for its
-    # primes are fresh in arith's memo, and no sweep holds all its fields
-    ds = squarefree_range(max(args.min, 3) | 1, args.max, 2)
-    rows = (_row_for(d, do_verify, args.oracle_limit, shape) for d in ds)
-    return (r for r in rows if r is not None)
 
 
 def _cmd_enumerate(args, out) -> int:
-    rows = _sweep_rows(args, args.verify, args.shape)
+    _check_range(args)
+    shape = tuple(args.shape.split(",")) if args.shape else None
+    results = sweep(args.min, args.max, args.verify, args.oracle_limit, shape)
     if args.csv:
-        # each row is written as it comes; its dict is in CSV_COLUMNS order
+        # each row is written as its field comes
         writer = csv.writer(out)
         writer.writerow(CSV_COLUMNS)
         mismatched = 0
-        for r in rows:
-            writer.writerow(r["row"].values())
-            mismatched += bool(r["mismatches"])
+        for r in results:
+            writer.writerow(_row(r))
+            mismatched += r.status == "mismatch"
         return 2 if mismatched else 0
-    rows = list(rows)
-    mismatches = [m for r in rows for m in r["mismatches"]]
-    doc = _document(
-        "enumerate",
-        {
-            "min": args.min,
-            "max": args.max,
-            "shape": args.shape,
-            "verify": args.verify,
-        },
-        [r["row"] for r in rows],
-        mismatches,
-    )
-    _emit(doc, out)
-    return 2 if mismatches else 0
+    rows, mismatches = [], []
+    for r in results:
+        rows.append(dict(zip(CSV_COLUMNS, _row(r))))
+        if r.status == "mismatch":
+            mismatches.extend(c.to_json() for c in r.comparison.mismatches)
+    inputs = dict(min=args.min, max=args.max, shape=args.shape, verify=args.verify)
+    doc = _document("enumerate", inputs, rows, mismatches)
+    return _emit(doc, out)
 
 
 def _parse_symbols(text: str) -> dict:
@@ -232,23 +204,23 @@ def _cmd_find_primes(args, out) -> int:
         {"mod8": list(residues), "symbols": args.symbols, "bound": args.bound},
         {"primes": primes, "verified": True},
     )
-    _emit(doc, out)
-    return 0
+    return _emit(doc, out)
 
 
 def _cmd_verify(args, out) -> int:
     # one pass that keeps counts, findings and mismatches, and no row
+    _check_range(args)
     fields = verified_ok = out_of_range = 0
     findings, mismatches = [], []
-    for r in _sweep_rows(args, True):
-        d, status = r["row"]["d"], r["row"]["oracle_status"]
+    for r in sweep(args.min, args.max, True, args.oracle_limit):
         fields += 1
-        verified_ok += status == "ok"
-        out_of_range += status == "out-of-range"
-        if r["findings"]:
-            findings.append({"d": d, "findings": r["findings"]})
-        if r["mismatches"]:
-            mismatches.append({"d": d, "checks": r["mismatches"]})
+        verified_ok += r.status == "ok"
+        out_of_range += r.status == "out-of-range"
+        if r.comparison is not None and r.comparison.findings:
+            findings.append({"d": r.report.d, "findings": list(r.comparison.findings)})
+        if r.status == "mismatch":
+            checks = [c.to_json() for c in r.comparison.mismatches]
+            mismatches.append({"d": r.report.d, "checks": checks})
     doc = _document(
         "verify",
         {"min": args.min, "max": args.max, "oracle_limit": args.oracle_limit},
@@ -260,8 +232,7 @@ def _cmd_verify(args, out) -> int:
         },
         mismatches,
     )
-    _emit(doc, out)
-    return 2 if mismatches else 0
+    return _emit(doc, out)
 
 
 def _half(n: int) -> str:
@@ -281,8 +252,7 @@ def _cmd_unit(args, out) -> int:
             "cf_period": fu.cf_period,
         },
     )
-    _emit(doc, out)
-    return 0
+    return _emit(doc, out)
 
 
 def _cmd_classgroup(args, out) -> int:
@@ -304,8 +274,7 @@ def _cmd_classgroup(args, out) -> int:
             "classes": [list(f) for f in grp.classes],
         },
     )
-    _emit(doc, out)
-    return 0
+    return _emit(doc, out)
 
 
 def _cmd_s1s2(args, out) -> int:
@@ -321,8 +290,7 @@ def _cmd_s1s2(args, out) -> int:
             "narrow_two_elementary": len(s2) == 1,
         },
     )
-    _emit(doc, out)
-    return 0
+    return _emit(doc, out)
 
 
 @functools.cache
@@ -339,7 +307,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="sweep odd square-free d in a range")
     p.add_argument("--min", type=int, default=3)
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--shape", help='pattern filter such as "p,p,q,q"')
+    p.add_argument("--shape", type=_shape, help='pattern filter such as "p,p,q,q"')
     p.add_argument("--csv", action="store_true")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--oracle-limit", type=_positive_int, default=DEFAULT_ORACLE_LIMIT)

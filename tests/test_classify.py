@@ -20,6 +20,7 @@ from twoclass.classify import (
     shape_of,
     spec_for_ppqq_condition,
     spec_for_qqqq_condition,
+    sweep,
     verify_against_oracle,
 )
 from twoclass.forms import Abelian2Group
@@ -274,6 +275,35 @@ def test_sweep_verify_yields_clean_comparisons():
     rows = json.loads(out.getvalue())["results"]
     assert [r["d"] for r in rows] == odd
     assert all(r["oracle_status"] == "ok" for r in rows)
+
+
+def test_library_sweep_across_the_oracle_limit():
+    # 8d passes the default oracle limit at d = 250000
+    odd = [fs.value for fs in squarefree_range(249900, 250100) if fs.value % 2]
+    verified = list(sweep(249900, 250100, verify=True))
+    assert [r.report.d for r in verified] == odd
+    statuses = [r.status for r in verified]
+    assert statuses == [
+        "ok" if 8 * d <= 2_000_000 else "out-of-range" for d in odd
+    ]
+    assert "ok" in statuses and "out-of-range" in statuses
+    for r in verified:
+        if r.status == "ok":
+            assert r.comparison == verify_against_oracle(predict(r.report.d))
+        else:
+            assert r.comparison is None
+    plain = list(sweep(249900, 250100))
+    assert [r.report for r in plain] == [r.report for r in verified]
+    assert all(r.status == "skipped" and r.comparison is None for r in plain)
+    # a shape filter keeps only that pattern, before the oracle runs
+    shaped = list(sweep(249900, 250100, verify=True, shape=("p", "q", "q")))
+    assert shaped and all(r.report.shape.pattern == ("p", "q", "q") for r in shaped)
+    assert [r.report.d for r in shaped] == [
+        r.report.d
+        for r in verified
+        if r.report.shape is not None and r.report.shape.pattern == ("p", "q", "q")
+    ]
+    assert list(sweep(3, 100, shape=("p", "p", "q", "q"))) == []
 
 
 def test_tension_field_kuroda_consistency():

@@ -11,6 +11,7 @@ import weakref
 import pytest
 
 import twoclass.arith as arith
+import twoclass.classify as classify
 import twoclass.cli as cli
 from twoclass.arith import squarefree_range
 from twoclass.classify import OracleCheck, OracleComparison
@@ -160,6 +161,12 @@ def test_enumerate_shape_filter():
     ds = [r["d"] for r in doc["results"]]
     assert 1365 in ds
     assert all(r["shape"] == "p,p,q,q" for r in doc["results"])
+    # an empty --shape is no filter
+    _, every, _ = run_json(["enumerate", "--min", "1300", "--max", "1400"])
+    _, empty, _ = run_json(
+        ["enumerate", "--min", "1300", "--max", "1400", "--shape", ""]
+    )
+    assert empty["results"] == every["results"] and len(every["results"]) > len(ds)
 
 
 def test_find_primes():
@@ -296,34 +303,51 @@ def _fail_every_check(monkeypatch):
     bad = OracleComparison(
         15, (OracleCheck("rank A(K)", 1, 2),), ()
     )
-    monkeypatch.setattr(cli, "verify_against_oracle", lambda d, limit: bad)
+    monkeypatch.setattr(classify, "verify_against_oracle", lambda d, limit: bad)
 
 
 def test_verify_mismatch_exit_2(monkeypatch):
+    # each sweep document lists the failed checks of every field it covers
     _fail_every_check(monkeypatch)
+    odd = [3, 5, 7, 11, 13, 15, 17, 19]
+    check = {"name": "rank A(K)", "predicted": 1, "observed": 2, "ok": False}
     code, doc, _ = run_json(["verify", "--max", "20"])
     assert code == 2
-    assert doc["mismatches"]
+    assert doc["mismatches"] == [{"d": d, "checks": [check]} for d in odd]
+    assert doc["results"]["verified_ok"] == 0 and doc["results"]["fields"] == 8
+    code, doc, _ = run_json(["enumerate", "--max", "20", "--verify"])
+    assert code == 2
+    assert doc["mismatches"] == [check] * len(odd)
+    assert [r["oracle_status"] for r in doc["results"]] == ["mismatch"] * len(odd)
+    code, _, text = run_json(["enumerate", "--max", "20", "--verify", "--csv"])
+    assert code == 2
+    lines = text.splitlines()
+    assert lines[0].split(",")[-1] == "oracle_status"
+    assert [line.split(",")[0] for line in lines[1:]] == [str(d) for d in odd]
+    assert [line.split(",")[-1] for line in lines[1:]] == ["mismatch"] * len(odd)
 
 
 def _rows_alive(monkeypatch, argv):
-    """(rows built, most rows alive when a row is built) for one run."""
+    """(sweep results built, most results alive when one is built) for one
+    run; each result is copied into an object that a weakref can follow."""
 
-    class Row(dict):
-        pass
+    class Result:
+        def __init__(self, result):
+            self.report, self.status, self.comparison = result
 
     refs = []
     most_alive = 0
-    real = cli._row_for
+    real = cli.sweep
 
-    def tracked(*args):
+    def tracked(*args, **kwargs):
         nonlocal most_alive
-        most_alive = max(most_alive, sum(1 for ref in refs if ref() is not None))
-        row = Row(real(*args))
-        refs.append(weakref.ref(row))
-        return row
+        for result in real(*args, **kwargs):
+            most_alive = max(most_alive, sum(1 for ref in refs if ref() is not None))
+            result = Result(result)
+            refs.append(weakref.ref(result))
+            yield result
 
-    monkeypatch.setattr(cli, "_row_for", tracked)
+    monkeypatch.setattr(cli, "sweep", tracked)
     assert cli.run(argv, io.StringIO()) == 0
     return len(refs), most_alive
 
@@ -340,6 +364,14 @@ def test_enumerate_csv_streams_its_rows(monkeypatch):
     # enumerate --csv writes each row as it comes, so it holds no sweep
     argv = ["enumerate", "--max", "2000", "--verify", "--csv"]
     built, most_alive = _rows_alive(monkeypatch, argv)
+    assert built > 800
+    assert most_alive <= 1
+
+
+def test_enumerate_json_builds_each_row_as_its_field_comes(monkeypatch):
+    # the JSON document holds every row, but no sweep result: each row and
+    # its mismatches are built as the result comes, and the result dropped
+    built, most_alive = _rows_alive(monkeypatch, ["enumerate", "--max", "2000"])
     assert built > 800
     assert most_alive <= 1
 
@@ -439,6 +471,21 @@ GOLDEN_STDOUT = {
     ("classgroup", "226580"): (
         "de33f5fdaa3292bcd1de2d1cd5cb383a12c9685c48b83799e012a469c4762803"
     ),
+    # the shape filter, with the oracle run on the rows it keeps
+    ("enumerate", "--max", "4000", "--shape", "p,p,q,q", "--verify"): (
+        "a3d3988f90e943723f510a3ef54a533fb97d335bd92a4adbf785915a6d3be124"
+    ),
+    # across the default oracle limit: 42 rows are out-of-range
+    ("enumerate", "--min", "249900", "--max", "250100", "--verify"): (
+        "86d4404be6dbfde13f748a30aa50f7b530747e7018d9db9ffe4853f418d52ae9"
+    ),
+    ("enumerate", "--min", "249900", "--max", "250100", "--verify", "--csv"): (
+        "e5c76fa5b25424378b41af851daf0b035d6d3cfb2c298fa55b839fb6bf81dabd"
+    ),
+    # JSON rows without the oracle
+    ("enumerate", "--max", "4000"): (
+        "cd91ac157b201f34b6dc1c7012fe39cde87509f3d6a2a93131bdca83098379b3"
+    ),
 }
 
 
@@ -497,6 +544,9 @@ def test_sweeps_reject_empty_range_and_bad_threads(capsys):
             ["--min", str(2**64), "--max", str(2**64 + 100)],
         )
     ]
+    # a shape is 3 or 4 roles from 2, p, q, in that order, with one 2 at most
+    for shape in ("ppqq", "p,q", "p,p,p,p,q", "q,p,p", "2,2,p", "p,2,q", "x,p,q"):
+        bad.append(["enumerate", "--max", "100", "--shape", shape])
     # every limit is a positive int: the oracle limit on all three oracle
     # commands, and the search bound of find-primes
     for command in (
@@ -519,14 +569,14 @@ def test_sweeps_reject_empty_range_and_bad_threads(capsys):
 
 def test_sweep_predicts_once_per_field(monkeypatch):
     calls = []
-    real = cli.predict
+    real = classify.predict
 
     def counting(d):
         calls.append(int(d))
         return real(d)
 
     monkeypatch.setattr(cli, "predict", counting)
-    monkeypatch.setattr("twoclass.classify.predict", counting)
+    monkeypatch.setattr(classify, "predict", counting)
     code, doc, _ = run_json(["verify", "--max", "200"])
     assert code == 0
     assert sorted(calls) == sorted(set(calls))
@@ -543,13 +593,13 @@ def test_emit_rejects_objects_that_are_not_json():
 
 def test_enumerate_verifies_only_rows_of_the_shape(monkeypatch):
     calls = []
-    real = cli.verify_against_oracle
+    real = classify.verify_against_oracle
 
     def counting(report, limit):
         calls.append(report.d)
         return real(report, limit)
 
-    monkeypatch.setattr(cli, "verify_against_oracle", counting)
+    monkeypatch.setattr(classify, "verify_against_oracle", counting)
     argv = ["enumerate", "--max", "2000", "--shape", "p,p,q,q", "--verify"]
     code, doc, _ = run_json(argv)
     assert code == 0
