@@ -30,6 +30,7 @@ from .arith import (
     doubled,
     is_prime,
     kronecker,
+    primes_upto,
     squarefree_range,
 )
 from .biquad import (
@@ -66,10 +67,7 @@ DEFAULT_ORACLE_LIMIT = 2_000_000
 
 
 class FieldShape(NamedTuple):
-    ramified_prime_count: int
     pattern: tuple[str, ...]  # roles of the ramified primes, "2" / "p" / "q"
-    d_mod_4: int
-    table: int  # 1 for t = 3, 2 for t = 4
     descriptor: str
 
     def __repr__(self) -> str:
@@ -90,15 +88,26 @@ def shape_of(d) -> FieldShape:
         f"p{i}" for i in range(1, n_p + 1)
     ] + [f"q{i}" for i in range(1, n_q + 1)]
     return FieldShape(
-        t,
         ("2",) * two + ("p",) * n_p + ("q",) * n_q,
-        fs.value % 4,
-        1 if t == 3 else 2,
         "Q(sqrt(" + "*".join(parts) + "))",
     )
 
 
-# --- classifier 1: rank patterns ------------------------------------------
+# --- the residue tables ------------------------------------------------------
+
+
+def _residues(fs: FactoredSquarefree) -> tuple[int, ...]:
+    """The residues mod 8 of the primes of d, ascending: the tables' key."""
+    return tuple(sorted(p % 8 for p in fs.primes))
+
+
+# The rank patterns (1)-(3) of stable_rank_type's docstring, keyed by the
+# ascending residues of d's primes.
+_RANK_PATTERNS = {
+    (1, 5, 5): 1, (5, 5, 5): 1,
+    (3, 3, 5, 5): 2, (3, 5, 5, 7): 2,
+    (3, 3, 3, 3): 3, (3, 3, 3, 7): 3,
+}
 
 
 def stable_rank_type(d) -> Optional[int]:
@@ -108,20 +117,7 @@ def stable_rank_type(d) -> Optional[int]:
     (2) d = p1 p2 q1 q2, p1 = p2 = 5, q1 = 3 or 7, q2 = 3 (mod 8);
     (3) d = q1 q2 q3 q4, q1 = 3 or 7, q2 = q3 = q4 = 3 (mod 8).
     """
-    fs = as_factored(d)
-    if fs.value % 2 == 0:
-        return None
-    res = sorted(p % 8 for p in fs.primes)
-    if len(res) == 3:
-        if all(r in (1, 5) for r in res) and res.count(1) <= 1:
-            return 1
-        return None
-    if len(res) == 4:
-        if res.count(5) == 2 and res.count(3) >= 1 and res.count(3) + res.count(7) == 2:
-            return 2
-        if all(r in (3, 7) for r in res) and res.count(7) <= 1:
-            return 3
-    return None
+    return _RANK_PATTERNS.get(_residues(as_factored(d)))
 
 
 # --- classifiers 2 and 3: symbol conditions --------------------------------
@@ -194,6 +190,22 @@ _QQQQ_CONDITIONS: tuple[Callable, ...] = (
 )
 
 
+class _Criterion(NamedTuple):
+    """One symbol criterion: conditions on the labels x_1..x_4, whose
+    residues mod 8 are `residues`; a match implies the three structures
+    ("if"), or is equivalent to them ("iff")."""
+
+    name: str
+    residues: tuple[int, ...]
+    conditions: tuple[Callable, ...]
+    direction: str
+
+
+_PPQQ = _Criterion("ppqq", (5, 5, 7, 3), _PPQQ_CONDITIONS, "iff")
+_QQQQ = _Criterion("qqqq", (7, 3, 3, 3), _QQQQ_CONDITIONS, "if")
+_CRITERIA = {tuple(sorted(c.residues)): c for c in (_PPQQ, _QQQQ)}
+
+
 class ConditionMatch(NamedTuple):
     """A matched condition index together with the labeling that matched."""
 
@@ -202,6 +214,9 @@ class ConditionMatch(NamedTuple):
 
     def __repr__(self) -> str:
         return f"condition {self.condition} with labeling {self.labeling}"
+
+    def to_json(self):
+        return {"condition": self.condition, "labeling": list(self.labeling)}
 
 
 def _legendre_lookup(labels: tuple[int, ...]) -> Callable[[int, int], int]:
@@ -212,21 +227,28 @@ def _legendre_lookup(labels: tuple[int, ...]) -> Callable[[int, int], int]:
 
 
 def _first_match(
-    fs: FactoredSquarefree, residues: tuple[int, ...], conditions
+    fs: FactoredSquarefree, criterion: _Criterion
 ) -> Optional[ConditionMatch]:
-    """The first condition, in order, that holds under some labeling of
-    fs.primes with the given residues mod 8; labelings are tried in the
-    order of itertools.permutations."""
+    """The criterion's first condition, in order, that holds under some
+    labeling of fs.primes with its residues mod 8; labelings are tried in
+    the order of itertools.permutations."""
     labelings = [
         labels
         for labels in itertools.permutations(fs.primes)
-        if tuple(p % 8 for p in labels) == residues
+        if tuple(p % 8 for p in labels) == criterion.residues
     ]
-    for idx, cond in enumerate(conditions, start=1):
+    for idx, cond in enumerate(criterion.conditions, start=1):
         for labels in labelings:
             if cond(_legendre_lookup(labels)):
                 return ConditionMatch(idx, labels)
     return None
+
+
+def _structure_condition(d, criterion: _Criterion) -> Optional[ConditionMatch]:
+    fs = as_factored(d)
+    if _CRITERIA.get(_residues(fs)) is not criterion:
+        raise WrongShape(f"the primes of {fs.value} are not {criterion.residues} mod 8")
+    return _first_match(fs, criterion)
 
 
 def structure_condition_ppqq(d) -> Optional[ConditionMatch]:
@@ -235,10 +257,7 @@ def structure_condition_ppqq(d) -> Optional[ConditionMatch]:
     A match is equivalent to A(K) = (Z/2)^2, A(K') = (Z/2)^3 and
     A(K1) = Z/2 + Z/4 together.  The two p-labels are tried in both orders.
     """
-    fs = as_factored(d)
-    if sorted(p % 8 for p in fs.primes) != [3, 5, 5, 7]:
-        raise WrongShape(f"{fs.value} is not p1*p2*q1*q2 with (5,5,7,3) mod 8")
-    return _first_match(fs, (5, 5, 7, 3), _PPQQ_CONDITIONS)
+    return _structure_condition(d, _PPQQ)
 
 
 def structure_condition_qqqq(d) -> Optional[ConditionMatch]:
@@ -248,10 +267,7 @@ def structure_condition_qqqq(d) -> Optional[ConditionMatch]:
     A(K1) = Z/2 + Z/4, with no converse claimed.  The three labels = 3
     (mod 8) are tried in all orders.
     """
-    fs = as_factored(d)
-    if sorted(p % 8 for p in fs.primes) != [3, 3, 3, 7]:
-        raise WrongShape(f"{fs.value} is not q1*q2*q3*q4 with (7,3,3,3) mod 8")
-    return _first_match(fs, (7, 3, 3, 3), _QQQQ_CONDITIONS)
+    return _structure_condition(d, _QQQQ)
 
 
 # --- prime tuple search (progression scans) ---------------------------------
@@ -366,8 +382,6 @@ def prime_tuples_up_to(
     `count`) ordered by product.  Used to collect many small, independently
     verifiable fields for one symbol spec.
     """
-    from .arith import spf_table
-
     t = len(spec.residues)
     class_min = {1: 17, 3: 3, 5: 5, 7: 7}
     tail_min = [1] * (t + 1)
@@ -378,11 +392,9 @@ def prime_tuples_up_to(
         max_product // (tail_min[0] // class_min[r]) for r in spec.residues
     )
     global_bound = max(global_bound, 7)
-    spf = spf_table(global_bound + 1)
     primes_mod8: dict[int, list[int]] = {1: [], 3: [], 5: [], 7: []}
-    for p in range(3, global_bound + 1, 2):
-        if spf[p] == p:
-            primes_mod8[p % 8].append(p)
+    for p in primes_upto(global_bound)[1:]:
+        primes_mod8[p % 8].append(p)
     results: list[list[int]] = []
     chosen: list[int] = []
 
@@ -411,15 +423,15 @@ def prime_tuples_up_to(
     return results if count is None else results[:count]
 
 
-def _spec_from_condition(
-    residues: tuple[int, ...], cond: Callable
-) -> SymbolSpec:
-    """A SymbolSpec whose every solution satisfies the given condition.
+def _spec_from_condition(criterion: _Criterion, condition: int) -> SymbolSpec:
+    """A SymbolSpec whose every solution satisfies the criterion's condition.
 
     Searches the 2^6 assignments of the elementary symbols for the
     lexicographically first satisfying one, then orients each symbol by
     quadratic reciprocity ((x_i/x_j) = -(x_j/x_i) iff both are 3 mod 4).
     """
+    residues = criterion.residues
+    cond = criterion.conditions[condition - 1]
     t = len(residues)
     pairs = [(i, j) for i in range(1, t + 1) for j in range(i + 1, t + 1)]
 
@@ -449,12 +461,12 @@ def _spec_from_condition(
 
 def spec_for_ppqq_condition(condition: int) -> SymbolSpec:
     """Symbol spec generating tuples (p1, p2, q1, q2) for a ppqq condition."""
-    return _spec_from_condition((5, 5, 7, 3), _PPQQ_CONDITIONS[condition - 1])
+    return _spec_from_condition(_PPQQ, condition)
 
 
 def spec_for_qqqq_condition(condition: int) -> SymbolSpec:
     """Symbol spec generating tuples (q1, q2, q3, q4) for a qqqq condition."""
-    return _spec_from_condition((7, 3, 3, 3), _QQQQ_CONDITIONS[condition - 1])
+    return _spec_from_condition(_QQQQ, condition)
 
 
 # --- prediction reports -----------------------------------------------------
@@ -463,6 +475,10 @@ def spec_for_qqqq_condition(condition: int) -> SymbolSpec:
 def _json_value(v):
     """A claimed or observed value as JSON: a 2-group is its factor list."""
     return list(v.factors) if isinstance(v, Abelian2Group) else v
+
+
+def _json_or_none(record):
+    return None if record is None else record.to_json()
 
 
 class Claim(NamedTuple):
@@ -526,29 +542,13 @@ class PredictionReport(NamedTuple):
             "rank_K": self.rank_K.to_json(),
             "rank_Kprime": self.rank_Kprime.to_json(),
             "rank_K1": self.rank_K1.to_json(),
-            "structure_K": None
-            if self.structure_K is None
-            else self.structure_K.to_json(),
-            "structure_Kprime": None
-            if self.structure_Kprime is None
-            else self.structure_Kprime.to_json(),
-            "structure_K1": None
-            if self.structure_K1 is None
-            else self.structure_K1.to_json(),
+            "structure_K": _json_or_none(self.structure_K),
+            "structure_Kprime": _json_or_none(self.structure_Kprime),
+            "structure_K1": _json_or_none(self.structure_K1),
             "rank_pattern": self.rank_pattern,
-            "ppqq_condition": None
-            if self.ppqq_condition is None
-            else {
-                "condition": self.ppqq_condition.condition,
-                "labeling": list(self.ppqq_condition.labeling),
-            },
-            "qqqq_condition": None
-            if self.qqqq_condition is None
-            else {
-                "condition": self.qqqq_condition.condition,
-                "labeling": list(self.qqqq_condition.labeling),
-            },
-            "tower": None if self.tower is None else self.tower.to_json(),
+            "ppqq_condition": _json_or_none(self.ppqq_condition),
+            "qqqq_condition": _json_or_none(self.qqqq_condition),
+            "tower": _json_or_none(self.tower),
             "flags": list(self.flags),
         }
 
@@ -567,7 +567,8 @@ def predict(d) -> PredictionReport:
     rank_k = Claim(genus_rank(fs), "genus field")
     rank_kp = Claim(genus_rank(doubled(fs)), "genus field of Q(sqrt(2d))")
     rank_k1 = Claim(first_layer_rank(fs), "first-layer rank formula")
-    pattern = stable_rank_type(fs)
+    residues = _residues(fs)
+    pattern = _RANK_PATTERNS.get(residues)
     # pattern (1) promises rank 2; the rank formula gives 3 exactly when its
     # prime = 1 (mod 8) fails the 2-power residue obstruction
     if pattern == 1 and rank_k1.value != 2:
@@ -576,37 +577,24 @@ def predict(d) -> PredictionReport:
             "fails the 2-power residue obstruction, rank formula gives "
             f"{rank_k1.value}"
         )
-    ppqq = None
-    qqqq = None
-    res = sorted(p % 8 for p in fs.primes)
-    if res == [3, 5, 5, 7]:
-        ppqq = _first_match(fs, (5, 5, 7, 3), _PPQQ_CONDITIONS)
-        if ppqq is None:
-            flags.append(
-                "ppqq shape with no matching criterion: by the stated "
-                "equivalence the three structure claims should not all hold "
-                "(oracle counterexamples are reported as findings)"
-            )
-    elif res == [3, 3, 3, 7]:
-        qqqq = _first_match(fs, (7, 3, 3, 3), _QQQQ_CONDITIONS)
-    structure_K = structure_Kprime = structure_K1 = None
-    if ppqq is not None or qqqq is not None:
-        src, direction = (
-            (f"ppqq criterion ({ppqq.condition})", "iff")
-            if ppqq is not None
-            else (f"qqqq criterion ({qqqq.condition})", "if")
+    criterion = _CRITERIA.get(residues)
+    match = None if criterion is None else _first_match(fs, criterion)
+    if _unmatched_iff(criterion, match):
+        flags.append(
+            f"{criterion.name} shape with no matching criterion: by the stated "
+            "equivalence the three structure claims should not all hold "
+            "(oracle counterexamples are reported as findings)"
         )
-        structure_K = Claim(Abelian2Group((2, 2)), src, direction)
-        structure_Kprime = Claim(Abelian2Group((2, 2, 2)), src, direction)
-        structure_K1 = Claim(Abelian2Group((2, 4)), src, direction)
+    structure_K = structure_Kprime = structure_K1 = None
+    if match is not None:
+        src = f"{criterion.name} criterion ({match.condition})"
+        structure_K = Claim(Abelian2Group((2, 2)), src, criterion.direction)
+        structure_Kprime = Claim(Abelian2Group((2, 2, 2)), src, criterion.direction)
+        structure_K1 = Claim(Abelian2Group((2, 4)), src, criterion.direction)
     tower = None
     if fs.value % 4 == 1 and rank_k.value == rank_k1.value:
-        lambda_zero = False
-        if structure_K is not None and structure_K1 is not None:
-            lambda_zero = (
-                structure_K.value.order == structure_K1.value.order
-            )
-        tower = TowerClaim(rank_k.value, 0, True, lambda_zero)
+        # lambda = 0 needs #A(K1) = #A(K); every claimed structure pair is 4 vs 8
+        tower = TowerClaim(rank_k.value, 0, True, False)
     report = PredictionReport(
         fs,
         shape,
@@ -617,13 +605,19 @@ def predict(d) -> PredictionReport:
         structure_Kprime,
         structure_K1,
         pattern,
-        ppqq,
-        qqqq,
+        match if criterion is _PPQQ else None,
+        match if criterion is _QQQQ else None,
         tower,
         tuple(flags),
     )
     _check_report_consistency(report)
     return report
+
+
+def _unmatched_iff(criterion: Optional[_Criterion], match) -> bool:
+    """Whether d has an equivalence criterion's residues but no condition
+    holds, so the three structures should not all hold."""
+    return criterion is not None and criterion.direction == "iff" and match is None
 
 
 def _check_report_consistency(report: PredictionReport) -> None:
@@ -714,51 +708,39 @@ def verify_against_oracle(
         OracleCheck("rank A+(K)", narrow_genus_rank(fs), sK.narrow.rank),
         OracleCheck("rank A(K')", report.rank_Kprime.value, sKp.ordinary.rank),
     ]
-    if report.structure_K is not None:
-        checks.append(
-            OracleCheck("structure A(K)", report.structure_K.value, sK.ordinary)
-        )
-    if report.structure_Kprime is not None:
-        checks.append(
-            OracleCheck("structure A(K')", report.structure_Kprime.value, sKp.ordinary)
-        )
+    # predict claims the three structures together or not at all
     if report.structure_K1 is not None:
+        K1 = report.structure_K1.value
         order = _kuroda_order_K1(fs, sK, sKp)
-        checks.append(
-            OracleCheck(
-                "order A(K1) via Kuroda", report.structure_K1.value.order, order
-            )
-        )
-        checks.append(
+        checks += [
+            OracleCheck("structure A(K)", report.structure_K.value, sK.ordinary),
+            OracleCheck("structure A(K')", report.structure_Kprime.value, sKp.ordinary),
+            OracleCheck("order A(K1) via Kuroda", K1.order, order),
             OracleCheck(
                 "structure A(K1) from rank and Kuroda order",
-                report.structure_K1.value,
+                K1,
                 structure_from_rank_and_order(report.rank_K1.value, order),
-            )
-        )
+            ),
+        ]
     findings: list[str] = []
+    criterion = _CRITERIA.get(_residues(fs))
+    # with no condition of an equivalence matched the structures should not
+    # all hold; they sometimes do (d = 3045 is the smallest case), which is
+    # reported as a finding rather than silently passed or failed
     if (
         report.structure_K1 is None
-        and report.shape is not None
-        and sorted(p % 8 for p in fs.primes) == [3, 5, 5, 7]
+        and _unmatched_iff(criterion, None)
+        and sK.ordinary == Abelian2Group((2, 2))
+        and sKp.ordinary == Abelian2Group((2, 2, 2))
+        and report.rank_K1.value == 2
+        and _kuroda_order_K1(fs, sK, sKp) == 8
     ):
-        # the criterion list is stated as an equivalence, so with no
-        # condition matched the structures should not all hold; they
-        # sometimes do (d = 3045 is the smallest case), which is reported
-        # as a finding rather than silently passed or failed
-        if (
-            sK.ordinary == Abelian2Group((2, 2))
-            and sKp.ordinary == Abelian2Group((2, 2, 2))
-            and report.rank_K1.value == 2
-            and _kuroda_order_K1(fs, sK, sKp) == 8
-        ):
-            findings.append(
-                "ppqq criterion converse fails: A(K) = (2,2), "
-                "A(K') = (2,2,2) and #A(K1) = 8 at rank 2, "
-                "yet no listed condition matches"
-            )
+        findings.append(
+            f"{criterion.name} criterion converse fails: A(K) = (2,2), "
+            "A(K') = (2,2,2) and #A(K1) = 8 at rank 2, "
+            "yet no listed condition matches"
+        )
     return OracleComparison(fs.value, tuple(checks), tuple(findings))
-
 
 
 class FieldResult(NamedTuple):

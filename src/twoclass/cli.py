@@ -17,7 +17,7 @@ import os
 import re
 import sys
 
-from .arith import BeyondPrimalityRange, NotSquarefree
+from .arith import BeyondPrimalityRange
 from .classify import (
     DEFAULT_ORACLE_LIMIT,
     NotFoundWithinBound,
@@ -374,7 +374,7 @@ def run(argv: list[str], out=None) -> int:
             file=sys.stderr,
         )
         return 1
-    except (NotSquarefree, NotFoundWithinBound, ValueError) as exc:
+    except (NotFoundWithinBound, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,20 +35,17 @@ def s1_decompositions(D: int) -> list[Decomposition]:
 
 
 def _s1(D: int, discs: list[int]) -> list[Decomposition]:
-    t = len(discs)
-    seen = set()
+    # each split once: the last prime discriminant always goes to D // d1
     out = []
-    for mask in range(1 << t):
+    for mask in range(1 << (len(discs) - 1)):
         d1 = 1
-        for i in range(t):
+        for i, q in enumerate(discs[:-1]):
             if mask >> i & 1:
-                d1 *= discs[i]
+                d1 *= q
         d2 = D // d1
         if abs(d1) > abs(d2):
             d1, d2 = d2, d1
-        if (d1, d2) not in seen:
-            seen.add((d1, d2))
-            out.append(Decomposition(d1, d2))
+        out.append(Decomposition(d1, d2))
     out.sort(key=lambda p: (abs(p.D1), p.D1))
     return out
 

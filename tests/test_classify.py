@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import math
 
 import pytest
 
+from twoclass import arith
 from twoclass.arith import kronecker, squarefree_range
 from twoclass.biquad import first_layer_rank
 from twoclass.classify import (
@@ -29,11 +31,11 @@ from twoclass.genus import genus_rank
 
 def test_shape_of():
     s = shape_of(1885)
-    assert s.pattern == ("p", "p", "p") and s.table == 1
+    assert s.pattern == ("p", "p", "p")
     s = shape_of(1365)
-    assert s.pattern == ("p", "p", "q", "q") and s.table == 2
+    assert s.pattern == ("p", "p", "q", "q") and len(s.pattern) == 4
     s = shape_of(35)  # 5*7, d = 3 mod 4: 2 ramifies
-    assert s.pattern == ("2", "p", "q") and s.ramified_prime_count == 3
+    assert s.pattern == ("2", "p", "q") and len(s.pattern) == 3
     with pytest.raises(OutOfTable):
         shape_of(5)
     with pytest.raises(OutOfTable):
@@ -58,6 +60,45 @@ def test_stable_rank_type():
     assert stable_rank_type(5 * 13 * 17 * 29) is None
     assert stable_rank_type(3 * 5 * 7) is None  # residues (3,5,7)
     assert stable_rank_type(7 * 23 * 3 * 11) is None  # two residues 7
+
+
+# one distinct prime per use of a residue class mod 8, in increasing order
+_PRIMES_BY_CLASS = {
+    1: [17, 41, 73, 89],
+    3: [3, 11, 19, 43],
+    5: [5, 13, 29, 37],
+    7: [7, 23, 31, 47],
+}
+
+
+def test_stable_rank_type_on_every_residue_tuple():
+    # the rules of stable_rank_type's docstring, one allowed set per label
+    rules = {
+        1: [{1, 5}, {5}, {5}],
+        2: [{5}, {5}, {3, 7}, {3}],
+        3: [{3, 7}, {3}, {3}, {3}],
+    }
+    tested = 0
+    for t in (3, 4):
+        for residues in itertools.combinations_with_replacement((1, 3, 5, 7), t):
+            primes = [
+                _PRIMES_BY_CLASS[r][residues[:i].count(r)]
+                for i, r in enumerate(residues)
+            ]
+            expected = [
+                n
+                for n, allowed in rules.items()
+                if len(allowed) == t
+                and any(
+                    all(r in a for r, a in zip(order, allowed))
+                    for order in itertools.permutations(residues)
+                )
+            ]
+            assert stable_rank_type(math.prod(primes)) == (
+                expected[0] if expected else None
+            ), residues
+            tested += 1
+    assert tested == 20 + 35
 
 
 def test_rank_pattern_iff_rank_formulas():
@@ -184,6 +225,49 @@ def test_spec_builders_generate_matching_tuples():
         tup = find_prime_tuple(spec)
         d = math.prod(tup)
         assert structure_condition_qqqq(d) is not None, (c, tup)
+
+
+def test_spec_builders_are_pinned():
+    specs = [spec_for_ppqq_condition(c) for c in range(1, 4)] + [
+        spec_for_qqqq_condition(c) for c in range(1, 10)
+    ]
+    assert hashlib.sha256(repr(specs).encode()).hexdigest() == (
+        "fa2ce51ba3c33eccc238f82638203f3a458b48af2a24fa7518dd7e3d290a8d1f"
+    )
+
+
+def test_prime_tuples_up_to_leaves_the_sieve_alone():
+    before = len(arith._spf)
+    assert len(prime_tuples_up_to(spec_for_qqqq_condition(1), 3 * 10**6)) == 458
+    assert len(arith._spf) == before
+    # the tuples of acceptance criteria 5 and 6
+    tuples = [
+        prime_tuples_up_to(spec_for_ppqq_condition(c), 300_000, 10)
+        for c in range(1, 4)
+    ] + [
+        prime_tuples_up_to(spec_for_qqqq_condition(c), 300_000, 5)
+        for c in range(1, 10)
+    ]
+    assert hashlib.sha256(repr(tuples).encode()).hexdigest() == (
+        "78ce9792b2ec4e7d631e68a4dd99cb5a06c6dc32525cd9802983e51464b17c55"
+    )
+
+
+def test_predict_reads_the_classifiers_below_50000():
+    flag = "ppqq shape with no matching criterion"
+    seen = {"ppqq": 0, "qqqq": 0, "unmatched": 0}
+    for fs in squarefree_range(3, 50000, 2):
+        residues = sorted(p % 8 for p in fs.primes)
+        r = predict(fs)
+        ppqq = structure_condition_ppqq(fs) if residues == [3, 5, 5, 7] else None
+        qqqq = structure_condition_qqqq(fs) if residues == [3, 3, 3, 7] else None
+        assert (r.ppqq_condition, r.qqqq_condition) == (ppqq, qqqq), fs.value
+        unmatched = residues == [3, 5, 5, 7] and ppqq is None
+        assert any(f.startswith(flag) for f in r.flags) == unmatched, fs.value
+        seen["ppqq"] += ppqq is not None
+        seen["qqqq"] += qqqq is not None
+        seen["unmatched"] += unmatched
+    assert all(seen.values()), seen
 
 
 def test_prime_tuples_up_to():

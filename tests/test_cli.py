@@ -486,6 +486,18 @@ GOLDEN_STDOUT = {
     ("enumerate", "--max", "4000"): (
         "cd91ac157b201f34b6dc1c7012fe39cde87509f3d6a2a93131bdca83098379b3"
     ),
+    # rank pattern (1) with the 2-power residue tension flag
+    ("classify", "7345", "--verify"): (
+        "3710a4d7ebcdec4023a0b282b18486d7ef5b2d1d5756a49fb78db3f51221aa3d"
+    ),
+    # (7,3,3,3) residues, no condition matched and no flag
+    ("classify", "13629", "--verify"): (
+        "efb0c0846e31251e60e9395a6d7671c67c316122f92f36e3a7ef2eef28e1a988"
+    ),
+    # rank pattern (1) with t = 3
+    ("classify", "1885", "--verify"): (
+        "8c5e8d2ca37fc620ae9c91b2b93de1239a26a5539618124b2474296a53c3102b"
+    ),
 }
 
 
