@@ -8,17 +8,18 @@ for #A(K1), and the indefinite-form oracle as the independent referee.
 """
 
 from twoclass import (
+    discriminant,
     first_layer_rank,
-    genus_field,
+    genus_rank,
     hasse_unit_index,
     kuroda_order,
     narrow_class_group,
-    narrow_genus_field,
+    narrow_genus_rank,
     ordinary_class_group,
     predict,
+    prime_discriminants,
     ramified_place_count,
-    s1_decompositions,
-    s2_decompositions,
+    splitting_sets,
     structure_condition_ppqq,
     two_sylow,
     verify_against_oracle,
@@ -30,17 +31,25 @@ print(f"d = {d} = 3 * 5 * 7 * 13, residues mod 8: (3, 5, 7, 5)")
 print()
 
 print("-- genus theory --")
-print("narrow genus field:", narrow_genus_field(d))
-print("genus field:       ", genus_field(d))
-print("genus field of K': ", genus_field(2 * d))
+# the narrow genus field is generated by the square roots of the prime
+# discriminants of D_K; the real genus field K_G is its totally real
+# index-2 subfield, and [K_G : K] = 2^rank A(K)
+discs = prime_discriminants(discriminant(d))
+print("narrow genus field:", "Q(" + ", ".join(f"sqrt({q})" for q in discs) + ")")
+print(f"rank A+(K) = t - 1 = {narrow_genus_rank(d)}")
+rank = genus_rank(d)
+print(f"rank A(K) = t - 1 - [q | d] = {rank}, so [K_G : K] = {2**rank}")
+print("prime discriminants of D_K':", prime_discriminants(discriminant(2 * d)))
+print(f"rank A(K') = {genus_rank(2 * d)}")
 print()
 
 print("-- Redei-Reichardt --")
-s1 = s1_decompositions(d)
-print(f"#S1(K) = {len(s1)}:", [dec.as_pair() for dec in s1])
-print(f"#S2(K) = {len(s2_decompositions(d))}  (so A+(K) is 2-elementary)")
-print(f"#S1(K') = {len(s1_decompositions(8 * d))}")
-print(f"#S2(K') = {len(s2_decompositions(8 * d))}")
+s1, s2 = splitting_sets(d)
+print(f"#S1(K) = {len(s1)}:", [tuple(dec) for dec in s1])
+print(f"#S2(K) = {len(s2)}  (so A+(K) is 2-elementary)")
+s1, s2 = splitting_sets(8 * d)
+print(f"#S1(K') = {len(s1)}")
+print(f"#S2(K') = {len(s2)}")
 print()
 
 print("-- symbol criterion for the (5,5,7,3) shape --")

@@ -6,7 +6,6 @@ class-group oracle built on indefinite binary quadratic forms."""
 from .arith import (
     FactoredSquarefree,
     factor_squarefree,
-    hilbert_symbol,
     is_prime,
     kronecker,
     sqrt_mod_prime,
@@ -48,11 +47,7 @@ from .forms import (
     two_sylow,
 )
 from .genus import (
-    GenusField,
-    genus_field,
-    genus_fixed_order,
     genus_rank,
-    narrow_genus_field,
     narrow_genus_rank,
     prime_discriminants,
     starred_prime,
@@ -61,16 +56,11 @@ from .quadfield import (
     FundamentalUnit,
     discriminant,
     fundamental_unit,
-    minus_one_is_norm,
-    splitting_in,
     unit_norm,
 )
 from .redei import (
     Decomposition,
     elementary_transfer_applies,
-    narrow_two_elementary,
-    s1_decompositions,
-    s2_decompositions,
     splitting_sets,
 )
 

@@ -1,9 +1,9 @@
 """Exact elementary number theory kernel.
 
 Deterministic primality, square-free factorization, Kronecker symbols,
-modular square roots, local Hilbert symbols and the quartic residue
-obstruction test for 2 modulo primes p = 1 (mod 8).  Everything here is
-integer-exact; there is no floating point anywhere in this module.
+modular square roots and the quartic residue obstruction test for 2 modulo
+primes p = 1 (mod 8).  Everything here is integer-exact; there is no
+floating point anywhere in this module.
 
 The smallest-prime-factor sieve (`spf_table`) is an array("I"), 4 bytes an
 entry, built by C-level slice assignment: each prime up to the square root
@@ -399,56 +399,6 @@ def sqrt_mod_prime(n: int, p: int) -> int | None:
         e, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
-
-
-def _two_adic_split(n: int) -> tuple[int, int]:
-    """n = 2**e * u with u odd; returns (e, u)."""
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    return e, n
-
-
-def hilbert_symbol(a: int, b: int, place) -> int:
-    """Local Hilbert symbol (a,b) at a finite prime or at math.inf.
-
-    Satisfies the product formula: over all places dividing 2ab oo the
-    product of symbols is +1.
-    """
-    if a == 0 or b == 0:
-        raise ValueError("Hilbert symbol requires nonzero arguments")
-    if place == math.inf:
-        return -1 if (a < 0 and b < 0) else 1
-    p = int(place)
-    if not is_prime(p):
-        raise ValueError(f"{place} is not a prime or infinity")
-    if p == 2:
-        alpha, u = _two_adic_split(abs(a))
-        beta, v = _two_adic_split(abs(b))
-        u = u if a > 0 else -u
-        v = v if b > 0 else -v
-        eps_u = (u - 1) // 2
-        eps_v = (v - 1) // 2
-        omega_u = (u * u - 1) // 8
-        omega_v = (v * v - 1) // 8
-        e = eps_u * eps_v + alpha * omega_v + beta * omega_u
-        return -1 if e % 2 else 1
-    alpha = 0
-    while a % p == 0:
-        a //= p
-        alpha += 1
-    beta = 0
-    while b % p == 0:
-        b //= p
-        beta += 1
-    e = alpha * beta * ((p - 1) // 2)
-    result = -1 if e % 2 else 1
-    if beta % 2:
-        result *= kronecker(a, p)
-    if alpha % 2:
-        result *= kronecker(b, p)
-    return result
 
 
 def two_power_residue_test(p: int) -> bool:

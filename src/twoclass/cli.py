@@ -175,10 +175,10 @@ def _cmd_enumerate(args, out) -> int:
     return _emit(doc, out)
 
 
-def _parse_symbols(text: str) -> dict:
-    symbols = {}
-    if not text:
-        return symbols
+def _parse_symbols(text: str) -> tuple:
+    """The ((k, j), eps) pairs in index order, a repeated (k, j) kept for
+    SymbolSpec to refuse."""
+    symbols = []
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -186,16 +186,16 @@ def _parse_symbols(text: str) -> dict:
         try:
             indices, value = part.split("=")
             k, j = (int(x) for x in indices.split(","))
-            symbols[(k, j)] = int(value)
+            symbols.append(((k, j), int(value)))
         except ValueError as exc:
             raise UsageError(f"bad symbol constraint {part!r}") from exc
-    return symbols
+    return tuple(sorted(symbols))
 
 
 def _cmd_find_primes(args, out) -> int:
     residues = tuple(int(x) for x in args.mod8.split(","))
     try:
-        spec = SymbolSpec.of(residues, _parse_symbols(args.symbols))
+        spec = SymbolSpec(residues, _parse_symbols(args.symbols))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     primes = find_prime_tuple(spec, args.bound)
@@ -283,8 +283,8 @@ def _cmd_s1s2(args, out) -> int:
         "s1s2",
         {"D": args.D},
         {
-            "S1": [list(dec.as_pair()) for dec in s1],
-            "S2": [list(dec.as_pair()) for dec in s2],
+            "S1": [list(dec) for dec in s1],
+            "S2": [list(dec) for dec in s2],
             "count_S1": len(s1),
             "count_S2": len(s2),
             "narrow_two_elementary": len(s2) == 1,

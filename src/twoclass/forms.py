@@ -30,7 +30,7 @@ import math
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .arith import is_prime, spf_table, sqrt_mod_prime
+from .arith import spf_table, sqrt_mod_prime
 
 _CACHE_SIZE = 1024  # summaries memoised; a sweep revisits only D = 8
 
@@ -51,9 +51,6 @@ class IndefiniteForm(NamedTuple):
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    def conjugate(self) -> "IndefiniteForm":
-        return IndefiniteForm(self.a, -self.b, self.c)
 
     def __repr__(self) -> str:
         return f"({self.a},{self.b},{self.c})"
@@ -563,18 +560,6 @@ class FormClassGroup:
         """Number of classes x with x^k = identity (through mul and power)."""
         e = self.identity
         return sum(1 for i in range(self.order) if self.power(i, k) == e)
-
-    def torsion_chain(self, p: int) -> tuple[int, ...]:
-        """#A[p^k] for k = 0, 1, ... until it reaches the p-part of the order,
-        for a prime p: the product of gcd(p^k, f) over the invariant factors."""
-        if p < 2 or not is_prime(p):
-            raise ValueError(f"{p} is not a prime")
-        top = self.structure[-1] if self.structure else 1
-        chain, q = [1], p
-        while top % q == 0:
-            chain.append(math.prod(math.gcd(q, f) for f in self.structure))
-            q *= p
-        return tuple(chain)
 
     @cached_property
     def structure(self) -> tuple[int, ...]:

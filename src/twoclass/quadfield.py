@@ -1,5 +1,5 @@
-"""Real quadratic fields Q(sqrt(d)): discriminants, prime splitting,
-fundamental units by continued fractions, and the local-norm test for -1.
+"""Real quadratic fields Q(sqrt(d)): discriminants and fundamental units by
+continued fractions.
 
 Units are computed from the periodic continued fraction of sqrt(d), or of
 (1 + sqrt(d))/2 when d = 1 (mod 4), over exact integers.  Half the period
@@ -14,25 +14,13 @@ J. 10, 1956).
 
 from __future__ import annotations
 
-import enum
 import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import (
-    FactoredSquarefree,
-    as_factored,
-    hilbert_symbol,
-    kronecker,
-)
+from .arith import FactoredSquarefree, as_factored
 
 _CACHE_SIZE = 1024  # units memoised; a sweep revisits only Q(sqrt 2)
-
-
-class SplitType(enum.Enum):
-    SPLIT = "split"
-    INERT = "inert"
-    RAMIFIED = "ramified"
 
 
 def discriminant(d) -> int:
@@ -48,14 +36,6 @@ def real_radicand(d) -> FactoredSquarefree:
     if fs.value < 2:
         raise ValueError("real quadratic field needs square-free d >= 2")
     return fs
-
-
-def splitting_in(p: int, d) -> SplitType:
-    """Behaviour of the rational prime p in Q(sqrt(d))."""
-    D = discriminant(real_radicand(d))
-    if D % p == 0:
-        return SplitType.RAMIFIED
-    return SplitType.SPLIT if kronecker(D, p) == 1 else SplitType.INERT
 
 
 class FundamentalUnit(NamedTuple):
@@ -132,10 +112,3 @@ def fundamental_unit(d) -> FundamentalUnit:
 def unit_norm(d) -> int:
     """Norm of the fundamental unit, (-1)**(CF period length)."""
     return fundamental_unit(d).norm
-
-
-def minus_one_is_norm(d) -> bool:
-    """True iff -1 is a norm from Q(sqrt(d)), by local symbols at p | 2d, oo."""
-    fs = real_radicand(d)
-    places = [math.inf, 2] + [p for p in fs.primes if p != 2]
-    return all(hilbert_symbol(-1, fs.value, p) == 1 for p in places)

@@ -21,18 +21,6 @@ class Decomposition(NamedTuple):
     D1: int
     D2: int
 
-    def as_pair(self) -> tuple[int, int]:
-        return (self.D1, self.D2)
-
-
-def s1_decompositions(D: int) -> list[Decomposition]:
-    """All splittings of D into two coprime products of prime discriminants.
-
-    Includes (1, D); there are exactly 2^(t-1) splittings for t prime
-    discriminants.  Normalized so |D1| < |D2|, sorted by |D1| then D1.
-    """
-    return _s1(D, prime_discriminants(D))
-
 
 def _s1(D: int, discs: list[int]) -> list[Decomposition]:
     # each split once: the last prime discriminant always goes to D // d1
@@ -70,20 +58,15 @@ def _s2(s1: list[Decomposition], discs: list[int]) -> list[Decomposition]:
 
 
 def splitting_sets(D: int) -> tuple[list[Decomposition], list[Decomposition]]:
-    """S1(D) and S2(D), from one factorization of D."""
+    """S1(D) and S2(D), from one factorization of D.
+
+    S1 holds (1, D) and the other 2^(t-1) - 1 splittings for t prime
+    discriminants, sorted by |D1| then D1; S2 keeps (1, D) and the
+    splittings passing both character tests.
+    """
     discs = prime_discriminants(D)
     s1 = _s1(D, discs)
     return s1, _s2(s1, discs)
-
-
-def s2_decompositions(D: int) -> list[Decomposition]:
-    """(1, D) together with the splittings passing both character tests."""
-    return splitting_sets(D)[1]
-
-
-def narrow_two_elementary(D: int) -> bool:
-    """Whether A+(K) is 2-elementary, i.e. #S2(D) = 1."""
-    return len(s2_decompositions(D)) == 1
 
 
 def elementary_transfer_applies(d) -> bool:

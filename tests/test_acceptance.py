@@ -26,7 +26,7 @@ from twoclass.classify import (
 from twoclass.forms import Abelian2Group, class_group_summary
 from twoclass.genus import genus_rank, narrow_genus_rank
 from twoclass.quadfield import fundamental_unit, unit_norm
-from twoclass.redei import s1_decompositions, s2_decompositions
+from twoclass.redei import splitting_sets
 from twoclass.arith import kronecker
 
 
@@ -49,8 +49,9 @@ def test_criterion_1_redei_reichardt_identity():
     checked = 0
     for fs, D in _fundamental_discriminants(50000):
         summ = class_group_summary(D)
-        assert len(s1_decompositions(D)) == 2**summ.narrow.rank, D
-        assert len(s2_decompositions(D)) == 2**summ.narrow.four_rank, D
+        s1, s2 = splitting_sets(D)
+        assert len(s1) == 2**summ.narrow.rank, D
+        assert len(s2) == 2**summ.narrow.four_rank, D
         # rank claims of the congruence classifiers, oracle-verified on the
         # same range (narrow and ordinary 2-ranks from genus theory)
         assert narrow_genus_rank(fs.value) == summ.narrow.rank, D

@@ -14,13 +14,14 @@ from twoclass.arith import (
     doubled,
     factor_squarefree,
     factorize,
-    hilbert_symbol,
     is_prime,
     kronecker,
     sqrt_mod_prime,
     squarefree_range,
     two_power_residue_test,
 )
+
+from field_reference import hilbert_symbol
 
 
 def naive_is_prime(n):

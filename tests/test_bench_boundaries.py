@@ -1,5 +1,6 @@
 """The benchmark's tracer looks up each boundary by name in its twoclass
-module; a deleted or renamed function would break ``bench/run.py --trace 1``."""
+module, and each module it rebinds names in by name; a deleted or renamed
+function or module would break ``bench/run.py --trace 1``."""
 
 import importlib.util
 import json
@@ -10,15 +11,28 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def test_tracer_boundaries_resolve_to_callables():
+def _tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_boundaries_resolve_to_callables():
+    tracer = _tracer()
     assert tracer.BOUNDARIES
     for name in tracer.BOUNDARIES:
         module, attr = name.split(".")
         fn = getattr(importlib.import_module(f"twoclass.{module}"), attr, None)
         assert callable(fn), name
+
+
+def test_tracer_modules_import():
+    # Tracer.install reads sys.modules["twoclass.<m>"] for every entry
+    tracer = _tracer()
+    assert tracer.MODULES
+    for module in tracer.MODULES:
+        importlib.import_module(f"twoclass.{module}")  # raises if it is gone
 
 
 def test_summary_cache_counters_stay_readable():

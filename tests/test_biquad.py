@@ -14,13 +14,9 @@ from twoclass.biquad import (
     structure_from_rank_and_order,
 )
 from twoclass.forms import Abelian2Group
-from twoclass.quadfield import (
-    SplitType,
-    fundamental_unit,
-    splitting_in,
-    unit_norm,
-)
+from twoclass.quadfield import fundamental_unit, unit_norm
 
+from field_reference import SplitType, splitting_in
 from k1_reference import (
     BiquadNumber,
     is_square_in_K1,

@@ -186,6 +186,16 @@ def test_find_primes_bad_residue():
     assert code == 1
 
 
+@pytest.mark.parametrize("symbols", ["2,1=1;2,1=-1", "2,1=-1;2,1=-1"])
+def test_find_primes_refuses_a_repeated_symbol(symbols, capsys):
+    # a contradictory repeat has no answer, and an identical one is refused
+    # by the same rule: SymbolSpec sees every pair as written
+    code, doc, text = run_json(["find-primes", "--mod8", "5,5", "--symbols", symbols])
+    assert code == 1 and doc is None and text == ""
+    err = capsys.readouterr().err
+    assert err == "usage error: duplicate symbol (2,1)\n"
+
+
 def test_unit_command():
     code, doc, _ = run_json(["unit", "5"])
     assert code == 0
@@ -497,6 +507,19 @@ GOLDEN_STDOUT = {
     # rank pattern (1) with t = 3
     ("classify", "1885", "--verify"): (
         "8c5e8d2ca37fc620ae9c91b2b93de1239a26a5539618124b2474296a53c3102b"
+    ),
+    # the splitting sets, odd and even D
+    ("s1s2", "10920"): (
+        "3d8179a4979e9bc8b3be1215fdb4adaad97b92f31807357ac34653553451e842"
+    ),
+    ("s1s2", "40"): (
+        "e7257f21fbece8563e945323435697b218c45cd78b0232e71405b9c54496168c"
+    ),
+    ("unit", "1365"): (
+        "0c17454494f0c83bd700b6a4e7981014b69830d6478350397e4002d22a51a8d7"
+    ),
+    ("find-primes", "--mod8", "5,5,7,3", "--symbols", "2,1=-1;3,1=-1;4,3=-1"): (
+        "119537767cdd9725af33e9196496e29461248d398de876cbbfff009b29c14a7b"
     ),
 }
 

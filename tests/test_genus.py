@@ -7,17 +7,20 @@ from twoclass.forms import class_group_summary
 from twoclass.genus import (
     EvenPrime,
     NotFundamental,
-    f2_span,
-    genus_field,
-    genus_fixed_order,
     genus_rank,
-    is_fundamental,
-    narrow_genus_field,
     narrow_genus_rank,
     prime_discriminants,
     starred_prime,
 )
-from twoclass.quadfield import discriminant, minus_one_is_norm
+from twoclass.quadfield import discriminant
+
+from field_reference import minus_one_is_norm
+from genus_reference import (
+    f2_span,
+    genus_field,
+    is_fundamental,
+    narrow_genus_field,
+)
 
 
 def test_starred_prime():
@@ -106,18 +109,24 @@ def test_closed_form_ranks_match_the_genus_fields():
             ), fs.value
 
 
+# the order of the subgroup of A(K) fixed by Gal(K/Q) is 2^rank A(K)
+
+
 def test_genus_fixed_order():
-    assert genus_fixed_order(1365) == 4
-    assert genus_fixed_order(5) == 1
-    assert genus_fixed_order(34) == 2
+    # 2^(t-1)/n by hand: d = 1365 has t = 4 and 3 | d, so n = 2; d = 5 has
+    # t = 1; D = 136 of d = 34 has t = 2, and -1 = N(5 + sqrt 34) / 9 gives n = 1
+    assert 2 ** genus_rank(1365) == 2**3 // 2
+    assert 2 ** genus_rank(5) == 1
+    assert 2 ** genus_rank(34) == 2
 
 
 def test_genus_fixed_order_consistency():
-    # 2^(t-1)/n with n = 2 exactly when -1 is not a local norm everywhere
+    # the genus formula 2^(t-1)/n, with n = 2 exactly when -1 is not a
+    # local norm everywhere, against the closed form's [q | d] term
     for fs in squarefree_range(2, 800):
         t = len(prime_discriminants(discriminant(fs)))
         expected = 2 ** (t - 1) // (1 if minus_one_is_norm(fs) else 2)
-        assert genus_fixed_order(fs) == expected
+        assert 2 ** genus_rank(fs) == expected, fs.value
 
 
 def test_genus_fixed_order_against_oracle():
@@ -126,7 +135,7 @@ def test_genus_fixed_order_against_oracle():
     # must equal #A[2] = 2^rank from the forms oracle
     for fs in squarefree_range(2, 2000):
         summ = class_group_summary(discriminant(fs))
-        assert genus_fixed_order(fs) == 2**summ.ordinary.rank, fs.value
+        assert 2 ** genus_rank(fs) == 2**summ.ordinary.rank, fs.value
 
 
 def test_rank_two_forces_three_or_four_ramified_primes():

@@ -6,22 +6,11 @@ import pytest
 
 from twoclass.arith import NotSquarefree, factor_squarefree, squarefree_range
 from twoclass.biquad import first_layer_rank, hasse_unit_index, ramified_place_count
-from twoclass.genus import (
-    genus_field,
-    genus_rank,
-    narrow_genus_field,
-    narrow_genus_rank,
-)
-from twoclass.quadfield import (
-    _cf_unit,
-    SplitType,
-    discriminant,
-    fundamental_unit,
-    minus_one_is_norm,
-    splitting_in,
-    unit_norm,
-)
+from twoclass.genus import genus_rank, narrow_genus_rank
+from twoclass.quadfield import _cf_unit, discriminant, fundamental_unit, unit_norm
 
+from field_reference import SplitType, minus_one_is_norm, splitting_in
+from genus_reference import genus_field, narrow_genus_field
 from k1_reference import relative_mul, relative_sqrt, sqrt_rational
 
 
@@ -61,6 +50,8 @@ def test_field_construction_rejects():
         fundamental_unit(1)
 
 
+# the references from tests/ are held to the same rule, since the
+# cross-checks hand them d either way
 FIELD_FUNCTIONS = {
     f.__name__: f
     for f in (

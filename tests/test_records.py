@@ -13,9 +13,8 @@ from twoclass.arith import FactoredSquarefree, NotSquarefree, doubled, factor_sq
 from twoclass.biquad import EvenRadicand, hasse_unit_index
 from twoclass.classify import SymbolSpec, predict, shape_of, verify_against_oracle
 from twoclass.forms import Abelian2Group
-from twoclass.genus import genus_field
 from twoclass.quadfield import fundamental_unit
-from twoclass.redei import s1_decompositions
+from twoclass.redei import splitting_sets
 
 
 @pytest.mark.parametrize(
@@ -56,16 +55,15 @@ def _one_of_each():
         report,
         comparison.checks[-1],
         comparison,
-        genus_field(1365),
         fundamental_unit(1365),
         report.ppqq_condition,
-        s1_decompositions(1365)[1],
+        splitting_sets(1365)[0][1],
     ]
 
 
 def test_one_record_of_every_kind():
     names = {type(r).__name__ for r in _one_of_each()}
-    assert len(names) == 13
+    assert len(names) == 12
 
 
 @pytest.mark.parametrize("record", _one_of_each(), ids=lambda r: type(r).__name__)
