@@ -154,7 +154,8 @@ def primes_upto(n: int) -> list[int]:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Floyd's cycle finding: x takes
+    one step, y two, with a gcd every step)."""
     if n % 2 == 0:
         return 2
     seed = 1

@@ -123,8 +123,8 @@ def stable_rank_type(d) -> Optional[int]:
 # --- classifiers 2 and 3: symbol conditions --------------------------------
 
 # Each condition is a predicate on L, where L(i, j) is the Legendre symbol
-# (x_i / x_j) of the labeled primes.  Labels for ppqq: 1, 2 are the two
-# primes = 5 (mod 8), 3 is the prime = 7, 4 is the prime = 3 (mod 8).
+# (x_i / x_j) of the labeled primes (SymbolSpec.L).  Labels for ppqq: 1, 2
+# are the two primes = 5 (mod 8), 3 is the prime = 7, 4 is the prime = 3.
 
 _PPQQ_CONDITIONS: tuple[Callable, ...] = (
     lambda L: L(1, 2) == -1
@@ -192,18 +192,90 @@ _QQQQ_CONDITIONS: tuple[Callable, ...] = (
 
 class _Criterion(NamedTuple):
     """One symbol criterion: conditions on the labels x_1..x_4, whose
-    residues mod 8 are `residues`; a match implies the three structures
-    ("if"), or is equivalent to them ("iff")."""
+    residues mod 8 are `residues`; a match implies the structures of A(K),
+    A(K') and A(K1) in `structures` ("if"), or is equivalent to them ("iff")."""
 
     name: str
     residues: tuple[int, ...]
     conditions: tuple[Callable, ...]
     direction: str
+    structures: tuple[Abelian2Group, Abelian2Group, Abelian2Group]
 
 
-_PPQQ = _Criterion("ppqq", (5, 5, 7, 3), _PPQQ_CONDITIONS, "iff")
-_QQQQ = _Criterion("qqqq", (7, 3, 3, 3), _QQQQ_CONDITIONS, "if")
+# both criteria claim A(K) = (Z/2)^2, A(K') = (Z/2)^3 and A(K1) = Z/2 + Z/4
+_STRUCTURES = tuple(Abelian2Group(f) for f in ((2, 2), (2, 2, 2), (2, 4)))
+_PPQQ = _Criterion("ppqq", (5, 5, 7, 3), _PPQQ_CONDITIONS, "iff", _STRUCTURES)
+_QQQQ = _Criterion("qqqq", (7, 3, 3, 3), _QQQQ_CONDITIONS, "if", _STRUCTURES)
 _CRITERIA = {tuple(sorted(c.residues)): c for c in (_PPQQ, _QQQQ)}
+
+
+def _reciprocity(a: int, b: int) -> int:
+    """(x/y)(y/x) for odd primes x = a, y = b (mod 4): -1 iff both are 3."""
+    return -1 if a % 4 == 3 and b % 4 == 3 else 1
+
+
+class _SymbolSpecFields(NamedTuple):
+    residues: tuple[int, ...]
+    symbols: tuple[tuple[tuple[int, int], int], ...] = ()
+
+
+class SymbolSpec(_SymbolSpecFields):
+    """Target residues mod 8 and Legendre symbols (x_k / x_j) = eps for j < k.
+
+    symbols maps index pairs (k, j) with 1 <= j < k <= t to +/-1; missing
+    pairs are unconstrained.  The conditions read a spec through L, the
+    prime searches through admits.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, residues, symbols=()) -> SymbolSpec:
+        if not residues:
+            raise ValueError("at least one residue required")
+        for a in residues:
+            if a not in (1, 3, 5, 7):
+                raise ValueError(f"residue {a} is not an odd class mod 8")
+        t = len(residues)
+        seen = set()
+        for (k, j), eps in symbols:
+            if not (1 <= j < k <= t):
+                raise ValueError(f"symbol index ({k},{j}) out of range")
+            if eps not in (-1, 1):
+                raise ValueError(f"symbol value {eps} not +/-1")
+            if (k, j) in seen:
+                raise ValueError(f"duplicate symbol ({k},{j})")
+            seen.add((k, j))
+        return tuple.__new__(cls, (residues, symbols))
+
+    def symbol(self, k: int, j: int) -> Optional[int]:
+        return dict(self.symbols).get((k, j))
+
+    def L(self, i: int, j: int) -> int:
+        """(x_i / x_j), i != j, on a spec that fixes every pair."""
+        if i > j:
+            return self.symbol(i, j)
+        return self.symbol(j, i) * _reciprocity(
+            self.residues[i - 1], self.residues[j - 1]
+        )
+
+    def admits(self, p: int, chosen) -> bool:
+        """Whether p may be coordinate len(chosen) + 1 after chosen: p has
+        that coordinate's residue, is not in chosen, and its symbols against
+        chosen are the spec's."""
+        k = len(chosen) + 1
+        return (
+            p % 8 == self.residues[k - 1]
+            and p not in chosen
+            and all(
+                kronecker(p, chosen[j - 1]) == eps
+                for (i, j), eps in self.symbols
+                if i == k
+            )
+        )
+
+    @classmethod
+    def of(cls, residues, symbols: dict | None = None) -> "SymbolSpec":
+        return cls(tuple(residues), tuple(sorted((symbols or {}).items())))
 
 
 class ConditionMatch(NamedTuple):
@@ -219,27 +291,24 @@ class ConditionMatch(NamedTuple):
         return {"condition": self.condition, "labeling": list(self.labeling)}
 
 
-def _legendre_lookup(labels: tuple[int, ...]) -> Callable[[int, int], int]:
-    def L(i: int, j: int) -> int:
-        return kronecker(labels[i - 1], labels[j - 1])
-
-    return L
-
-
 def _first_match(
     fs: FactoredSquarefree, criterion: _Criterion
 ) -> Optional[ConditionMatch]:
     """The criterion's first condition, in order, that holds under some
     labeling of fs.primes with its residues mod 8; labelings are tried in
     the order of itertools.permutations."""
-    labelings = [
-        labels
+    pairs = list(itertools.combinations(range(1, len(criterion.residues) + 1), 2))
+    labelings = {
+        labels: SymbolSpec.of(
+            criterion.residues,
+            {(k, j): kronecker(labels[k - 1], labels[j - 1]) for j, k in pairs},
+        )
         for labels in itertools.permutations(fs.primes)
         if tuple(p % 8 for p in labels) == criterion.residues
-    ]
+    }
     for idx, cond in enumerate(criterion.conditions, start=1):
-        for labels in labelings:
-            if cond(_legendre_lookup(labels)):
+        for labels, spec in labelings.items():
+            if cond(spec.L):
                 return ConditionMatch(idx, labels)
     return None
 
@@ -273,54 +342,6 @@ def structure_condition_qqqq(d) -> Optional[ConditionMatch]:
 # --- prime tuple search (progression scans) ---------------------------------
 
 
-class _SymbolSpecFields(NamedTuple):
-    residues: tuple[int, ...]
-    symbols: tuple[tuple[tuple[int, int], int], ...] = ()
-
-
-class SymbolSpec(_SymbolSpecFields):
-    """Target residues mod 8 and Legendre symbols (x_k / x_j) = eps for j < k.
-
-    symbols maps index pairs (k, j) with 1 <= j < k <= t to +/-1; missing
-    pairs are unconstrained.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        residues: tuple[int, ...],
-        symbols: tuple[tuple[tuple[int, int], int], ...] = (),
-    ) -> SymbolSpec:
-        if not residues:
-            raise ValueError("at least one residue required")
-        for a in residues:
-            if a not in (1, 3, 5, 7):
-                raise ValueError(f"residue {a} is not an odd class mod 8")
-        t = len(residues)
-        seen = set()
-        for (k, j), eps in symbols:
-            if not (1 <= j < k <= t):
-                raise ValueError(f"symbol index ({k},{j}) out of range")
-            if eps not in (-1, 1):
-                raise ValueError(f"symbol value {eps} not +/-1")
-            if (k, j) in seen:
-                raise ValueError(f"duplicate symbol ({k},{j})")
-            seen.add((k, j))
-        return tuple.__new__(cls, (residues, symbols))
-
-    def symbol(self, k: int, j: int) -> Optional[int]:
-        for key, eps in self.symbols:
-            if key == (k, j):
-                return eps
-        return None
-
-    @classmethod
-    def of(cls, residues, symbols: dict | None = None) -> "SymbolSpec":
-        items = tuple(sorted((symbols or {}).items()))
-        return cls(tuple(residues), items)
-
-
 def find_prime_tuple(
     spec: SymbolSpec, search_bound: int = 10**6, *, avoid=()
 ) -> list[int]:
@@ -330,7 +351,7 @@ def find_prime_tuple(
     union of arithmetic progressions modulo 8 p_1 ... p_(i-1) (one for every
     residue system v_j with (v_j/p_j) = eps_ij), each infinite by Dirichlet;
     the scan walks the class a_i (mod 8) upward and keeps the first prime
-    whose symbols all verify, i.e. the smallest member of that union.
+    the spec admits, i.e. the smallest member of that union.
 
     avoid lists primes that must not be chosen, so repeated calls can
     produce distinct tuples.  All constraints are re-verified on the result.
@@ -338,37 +359,18 @@ def find_prime_tuple(
     avoid = set(avoid)
     primes: list[int] = []
     for i, a in enumerate(spec.residues, start=1):
-        constraints = [
-            (primes[j - 1], spec.symbol(i, j))
-            for j in range(1, i)
-            if spec.symbol(i, j) is not None
-        ]
-        candidate = None
-        x = a % 8
-        for _ in range(search_bound):
-            if (
-                x > 2
-                and x not in avoid
-                and x not in primes
-                and all(kronecker(x, pj) == eps for pj, eps in constraints)
-                and is_prime(x)
-            ):
-                candidate = x
+        for x in range(a, a + 8 * search_bound, 8):
+            if x not in avoid and spec.admits(x, primes) and is_prime(x):
+                primes.append(x)
                 break
-            x += 8
-        if candidate is None:
+        else:
             raise NotFoundWithinBound(
                 f"no prime found for coordinate {i} within {search_bound} steps"
             )
-        primes.append(candidate)
     # re-verify every constraint: part of the contract, not just a debug aid
-    for i, (p, a) in enumerate(zip(primes, spec.residues), start=1):
-        if p % 8 != a:
-            raise AssertionError(f"residue re-verification failed at {i}")
-        for j in range(1, i):
-            eps = spec.symbol(i, j)
-            if eps is not None and kronecker(p, primes[j - 1]) != eps:
-                raise AssertionError(f"symbol re-verification failed at ({i},{j})")
+    for i, p in enumerate(primes, start=1):
+        if not spec.admits(p, primes[: i - 1]):
+            raise AssertionError(f"re-verification failed at coordinate {i}")
     return primes
 
 
@@ -384,14 +386,11 @@ def prime_tuples_up_to(
     """
     t = len(spec.residues)
     class_min = {1: 17, 3: 3, 5: 5, 7: 7}
-    tail_min = [1] * (t + 1)
-    for i in range(t - 1, -1, -1):
-        tail_min[i] = tail_min[i + 1] * class_min[spec.residues[i]]
+    tail_min = [math.prod(map(class_min.get, spec.residues[i:])) for i in range(t + 1)]
     # a coordinate is largest when every other one is minimal
     global_bound = max(
-        max_product // (tail_min[0] // class_min[r]) for r in spec.residues
+        7, *(max_product // (tail_min[0] // class_min[r]) for r in spec.residues)
     )
-    global_bound = max(global_bound, 7)
     primes_mod8: dict[int, list[int]] = {1: [], 3: [], 5: [], 7: []}
     for p in primes_upto(global_bound)[1:]:
         primes_mod8[p % 8].append(p)
@@ -403,17 +402,10 @@ def prime_tuples_up_to(
             results.append(list(chosen))
             return
         bound = max_product // (prod * tail_min[idx + 1])
-        constraints = [
-            (j, spec.symbol(idx + 1, j + 1))
-            for j in range(idx)
-            if spec.symbol(idx + 1, j + 1) is not None
-        ]
         for p in primes_mod8[spec.residues[idx]]:
             if p > bound:
                 break
-            if p in chosen:
-                continue
-            if all(kronecker(p, chosen[j]) == eps for j, eps in constraints):
+            if spec.admits(p, chosen):
                 chosen.append(p)
                 extend(idx + 1, prod * p)
                 chosen.pop()
@@ -426,36 +418,24 @@ def prime_tuples_up_to(
 def _spec_from_condition(criterion: _Criterion, condition: int) -> SymbolSpec:
     """A SymbolSpec whose every solution satisfies the criterion's condition.
 
-    Searches the 2^6 assignments of the elementary symbols for the
-    lexicographically first satisfying one, then orients each symbol by
-    quadratic reciprocity ((x_i/x_j) = -(x_j/x_i) iff both are 3 mod 4).
+    Tries the 2^6 assignments of the symbols in order, bit b of the counter
+    giving the sign of (x_i / x_j), i < j, for the b-th pair (0 meaning +1),
+    and returns the first spec the condition accepts.
     """
     residues = criterion.residues
     cond = criterion.conditions[condition - 1]
-    t = len(residues)
-    pairs = [(i, j) for i in range(1, t + 1) for j in range(i + 1, t + 1)]
-
-    def lookup(assign):
-        def L(i: int, j: int) -> int:
-            if i < j:
-                return assign[(i, j)]
-            v = assign[(j, i)]
-            if residues[i - 1] % 4 == 3 and residues[j - 1] % 4 == 3:
-                v = -v
-            return v
-
-        return L
-
+    pairs = list(itertools.combinations(range(1, len(residues) + 1), 2))
     for bits in range(1 << len(pairs)):
-        assign = {
-            pair: (1 if bits >> b & 1 == 0 else -1) for b, pair in enumerate(pairs)
-        }
-        L = lookup(assign)
-        if cond(L):
-            symbols = {}
-            for (i, j) in pairs:
-                symbols[(j, i)] = L(j, i)  # stored orientation: (x_k / x_j), j < k
-            return SymbolSpec.of(residues, symbols)
+        spec = SymbolSpec.of(
+            residues,
+            {
+                (j, i): (-1 if bits >> b & 1 else 1)
+                * _reciprocity(residues[i - 1], residues[j - 1])
+                for b, (i, j) in enumerate(pairs)
+            },
+        )
+        if cond(spec.L):
+            return spec
     raise RuntimeError("condition is unsatisfiable over symbol assignments")
 
 
@@ -475,6 +455,10 @@ def spec_for_qqqq_condition(condition: int) -> SymbolSpec:
 def _json_value(v):
     """A claimed or observed value as JSON: a 2-group is its factor list."""
     return list(v.factors) if isinstance(v, Abelian2Group) else v
+
+
+def _factors(group: Abelian2Group) -> str:  # e.g. (2,2)
+    return "(" + ",".join(map(str, group.factors)) + ")"
 
 
 def _json_or_none(record):
@@ -588,9 +572,9 @@ def predict(d) -> PredictionReport:
     structure_K = structure_Kprime = structure_K1 = None
     if match is not None:
         src = f"{criterion.name} criterion ({match.condition})"
-        structure_K = Claim(Abelian2Group((2, 2)), src, criterion.direction)
-        structure_Kprime = Claim(Abelian2Group((2, 2, 2)), src, criterion.direction)
-        structure_K1 = Claim(Abelian2Group((2, 4)), src, criterion.direction)
+        structure_K, structure_Kprime, structure_K1 = (
+            Claim(g, src, criterion.direction) for g in criterion.structures
+        )
     tower = None
     if fs.value % 4 == 1 and rank_k.value == rank_k1.value:
         # lambda = 0 needs #A(K1) = #A(K); every claimed structure pair is 4 vs 8
@@ -727,19 +711,16 @@ def verify_against_oracle(
     # with no condition of an equivalence matched the structures should not
     # all hold; they sometimes do (d = 3045 is the smallest case), which is
     # reported as a finding rather than silently passed or failed
-    if (
-        report.structure_K1 is None
-        and _unmatched_iff(criterion, None)
-        and sK.ordinary == Abelian2Group((2, 2))
-        and sKp.ordinary == Abelian2Group((2, 2, 2))
-        and report.rank_K1.value == 2
-        and _kuroda_order_K1(fs, sK, sKp) == 8
-    ):
-        findings.append(
-            f"{criterion.name} criterion converse fails: A(K) = (2,2), "
-            "A(K') = (2,2,2) and #A(K1) = 8 at rank 2, "
-            "yet no listed condition matches"
-        )
+    if report.structure_K1 is None and _unmatched_iff(criterion, None):
+        K, Kp, K1 = criterion.structures
+        observed = (sK.ordinary, sKp.ordinary, report.rank_K1.value)
+        if observed == (K, Kp, K1.rank) and _kuroda_order_K1(fs, sK, sKp) == K1.order:
+            findings.append(
+                f"{criterion.name} criterion converse fails: "
+                f"A(K) = {_factors(K)}, A(K') = {_factors(Kp)} and "
+                f"#A(K1) = {K1.order} at rank {K1.rank}, "
+                "yet no listed condition matches"
+            )
     return OracleComparison(fs.value, tuple(checks), tuple(findings))
 
 

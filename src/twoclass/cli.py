@@ -193,8 +193,8 @@ def _parse_symbols(text: str) -> tuple:
 
 
 def _cmd_find_primes(args, out) -> int:
-    residues = tuple(int(x) for x in args.mod8.split(","))
     try:
+        residues = tuple(int(x) for x in args.mod8.split(","))
         spec = SymbolSpec(residues, _parse_symbols(args.symbols))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -15,12 +15,9 @@ J. 10, 1956).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import FactoredSquarefree, as_factored
-
-_CACHE_SIZE = 1024  # units memoised; a sweep revisits only Q(sqrt 2)
 
 
 def discriminant(d) -> int:
@@ -48,7 +45,6 @@ class FundamentalUnit(NamedTuple):
     cf_period: int
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _cf_unit(d: int) -> tuple[int, int, int]:
     """(X, Y, period) with the fundamental unit (X + Y*sqrt(d))/2.
 

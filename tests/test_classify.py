@@ -12,6 +12,7 @@ from twoclass.classify import (
     stable_rank_type,
     structure_condition_ppqq,
     structure_condition_qqqq,
+    NotFoundWithinBound,
     OracleRangeExceeded,
     OutOfTable,
     SymbolSpec,
@@ -193,12 +194,25 @@ def test_symbol_spec_validation():
     spec = SymbolSpec.of((3, 5), {(2, 1): -1})
     assert spec.symbol(2, 1) == -1
     assert spec.symbol(2, 2) is None
+    # admits(p, chosen): p may be coordinate len(chosen) + 1
+    assert spec.admits(3, [])
+    assert spec.admits(5, [3])
+    assert not spec.admits(13, [3])  # (13/3) = +1, not -1
+    assert not spec.admits(7, [])  # residue
+    assert not spec.admits(3, [3])  # repeated prime
 
 
 def test_find_prime_tuple_trivial():
     assert find_prime_tuple(SymbolSpec.of((3,))) == [3]
     assert find_prime_tuple(SymbolSpec.of((1,))) == [17]
     assert find_prime_tuple(SymbolSpec.of((3, 3))) == [3, 11]
+
+
+def test_find_prime_tuple_exhausts_its_search_bound():
+    # the class 1 (mod 8) starts 1, 9, 17: no prime in two steps, 17 in three
+    with pytest.raises(NotFoundWithinBound):
+        find_prime_tuple(SymbolSpec.of((1,)), 2)
+    assert find_prime_tuple(SymbolSpec.of((1,)), 3) == [17]
 
 
 def test_find_prime_tuple_constraints():

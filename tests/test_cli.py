@@ -186,6 +186,13 @@ def test_find_primes_bad_residue():
     assert code == 1
 
 
+def test_find_primes_past_its_search_bound_exits_1_with_one_line(capsys):
+    code, doc, text = run_json(["find-primes", "--mod8", "1", "--bound", "2"])
+    assert code == 1 and doc is None and text == ""
+    err = capsys.readouterr().err
+    assert err == "error: no prime found for coordinate 1 within 2 steps\n"
+
+
 @pytest.mark.parametrize("symbols", ["2,1=1;2,1=-1", "2,1=-1;2,1=-1"])
 def test_find_primes_refuses_a_repeated_symbol(symbols, capsys):
     # a contradictory repeat has no answer, and an identical one is refused
@@ -593,6 +600,8 @@ def test_sweeps_reject_empty_range_and_bad_threads(capsys):
             bad.append([*command, "--oracle-limit", limit])
     for bound in ("0", "-4"):
         bad.append(["find-primes", "--mod8", "5", "--bound", bound])
+    # the residues are a comma list of ints
+    bad += [["find-primes", "--mod8", "5,x"], ["find-primes", "--mod8", ""]]
     for argv in bad:
         capsys.readouterr()
         code, doc, text = run_json(argv)

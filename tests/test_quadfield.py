@@ -144,7 +144,7 @@ def full_period_unit(d):
 
 
 def assert_half_period_unit(d):
-    got = _cf_unit.__wrapped__(d)  # unmemoised
+    got = _cf_unit(d)
     want = full_period_unit(d)
     # compare the integers X = 2a and Y = 2b, not their decimal strings
     assert [(x, 1) for x in got[:2]] == [
@@ -164,7 +164,7 @@ def test_half_period_unit_against_the_full_period_below_30000():
     seen = set()
     for fs in squarefree_range(2, 30000):
         assert_half_period_unit(fs.value)
-        seen.add((fs.value % 4 == 1, _cf_unit.__wrapped__(fs.value)[2] % 2))
+        seen.add((fs.value % 4 == 1, _cf_unit(fs.value)[2] % 2))
     # both expansions xi0, with even and odd periods in each
     assert seen == {(False, 0), (False, 1), (True, 0), (True, 1)}
 
@@ -185,7 +185,7 @@ def test_half_period_unit_against_the_full_period_on_large_d():
 def test_half_period_unit_with_more_than_4300_digits():
     d = 40000159
     assert_half_period_unit(d)
-    assert (_cf_unit.__wrapped__(d)[0] // 2).bit_length() > 4300 * math.log2(10)
+    assert (_cf_unit(d)[0] // 2).bit_length() > 4300 * math.log2(10)
 
 
 def test_unit_norms():
