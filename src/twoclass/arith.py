@@ -174,11 +174,19 @@ def _pollard_rho(n: int) -> int:
             return d
 
 
-_TRIAL_BOUND = 10**6
+_TRIAL_PRIMES = tuple(primes_upto(1 << 10))  # trial divisors of n < 2**64
+_TRIAL_BOUND = 10**6  # trial division of a larger n runs up to it
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Sorted prime factorization [(p, e), ...] of n >= 1."""
+    """Sorted prime factorization [(p, e), ...] of n >= 1.
+
+    The sieve answers where it reaches.  Beyond it, n < 2**64 is divided by
+    the primes up to 2**10 only, and Pollard rho splits the rest into parts
+    that is_prime settles.  A larger n is divided by every odd number up to
+    10**6 first, since is_prime settles no part of 2**64 or more: so a
+    product of four primes near 10**5 is still factored.
+    """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     out: dict[int, int] = {}
@@ -188,12 +196,20 @@ def factorize(n: int) -> list[tuple[int, int]]:
             out[p] = out.get(p, 0) + 1
             n //= p
         return sorted(out.items())
-    p = 2
-    while p * p <= n and p <= _TRIAL_BOUND:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
+    if n < _MR_LIMIT:
+        for p in _TRIAL_PRIMES:
+            if p * p > n:
+                break
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+    else:
+        p = 2
+        while p * p <= n and p <= _TRIAL_BOUND:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            p += 1 if p == 2 else 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -6,19 +6,21 @@ computed from first principles as rho-cycles of reduced forms.  The cycles
 are found by closing the principal and sign cycles under Gauss composition
 with the prime forms of norm at most sqrt(D)/2, and, for each prime p
 dividing the conductor of D, the primitive forms of norm p^k up to the same
-bound.  Equivalence of forms is always decided by cycle membership, never by
-floating-point invariants.
+bound.  The prime forms come lazily, and a prime whose norm a walk has
+already met is skipped, with no square root taken: its class is in the group
+by then.  Equivalence of forms is always decided by cycle membership, never
+by floating-point invariants.
 
 The sign class sigma maps the reduced form (a, b, c) to (-a, b, -c), so the
 cycles C and sigma C hold the same forms up to sign: one walk numbers both,
-and only the forms with a < 0 are stored (Buchmann and Vollmer, Binary
-Quadratic Forms, 2007, ch. 6).  One builder finds the cycles of D; the narrow
-group, its sign-class quotient (the ordinary group) and the summaries are
-read off it.  A group lists each class by its least reduced form, in
-ascending order.  Structure is the Smith normal form of the relations the
-closure finds on its way, each generator's first power that falls in the
-group before it; the tests cross-check it against torsion counts made
-through the group law.
+and only the forms with a < 0 are stored, each keyed by the int
+a*(isqrt(D) + 1) + b (Buchmann and Vollmer, Binary Quadratic Forms, 2007,
+ch. 6).  One builder finds the cycles of D; the narrow group, its
+sign-class quotient (the ordinary group) and the summaries are read off it.
+A group lists each class by its least reduced form, in ascending order.
+Structure is the Smith normal form of the relations the closure finds on
+its way, each generator's first power that falls in the group before it;
+the tests cross-check it against torsion counts made through the group law.
 
 A form (a, b, c) of discriminant D = b^2 - 4ac > 0 (nonsquare) is reduced
 when 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b.
@@ -27,6 +29,7 @@ when 0 < b < sqrt(D) and sqrt(D) - b < 2|a| < sqrt(D) + b.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -118,8 +121,10 @@ def reduced_forms(D: int) -> list[IndefiniteForm]:
     for g in range(1, s + 1):
         E, r = divmod(D, g * g)
         if r == 0 and E % 4 in (0, 1):
-            # each key (a, b) stands for (a, b, c) and its sign partner
-            for a, b in _cycles(E).cycle_of:
+            # each key of (a, b) stands for (a, b, c) and its sign partner
+            cycles = _cycles(E)
+            for key in cycles.cycle_of:
+                a, b = divmod(key, cycles.s + 1)
                 c = (b * b - E) // (4 * a)
                 out.append(IndefiniteForm(g * a, g * b, g * c))
                 out.append(IndefiniteForm(-g * a, g * b, -g * c))
@@ -180,9 +185,11 @@ class _Cycles(NamedTuple):
     """The rho-cycles of the primitive reduced forms of one discriminant.
 
     Cycle 0 is the principal cycle and cycle flip the sign cycle.  The
-    reduced form (a, b, c) with a < 0 lies on cycle_of[(a, b)], and its sign
-    partner (-a, b, -c) on cycle_of[(a, b)] ^ flip: when the sign class is
-    not principal (flip = 1), the cycles C and sigma C are 2k and 2k + 1.
+    reduced form (a, b, c) with a < 0 is keyed by the int a*(s + 1) + b, in
+    the order of the pairs (a, b) since 0 < b <= s, and divmod(key, s + 1)
+    gives (a, b) back.  It lies on cycle_of[key], and its sign partner
+    (-a, b, -c) on cycle_of[key] ^ flip: when the sign class is not
+    principal (flip = 1), the cycles C and sigma C are 2k and 2k + 1.
     (a, b, c) composed with the sign form (-1, b, -ac), united with it, is
     (-a, b, -c) (Cohen, GTM 138, 5.2), reduced as (a, b, c) is, since
     reducedness reads only |a|.
@@ -191,7 +198,7 @@ class _Cycles(NamedTuple):
     D: int
     s: int
     flip: int
-    cycle_of: dict  # (a, b) with a < 0 -> cycle id of (a, b, (b^2 - D)/4a)
+    cycle_of: dict  # key of (a, b), a < 0 -> cycle id of (a, b, (b^2 - D)/4a)
     least: list  # cycle id -> least form of the cycle
     low: list  # cycle id -> a form of the cycle with least positive a
     # a presentation of the narrow group: with radices n_0, n_1, ... of the
@@ -202,9 +209,10 @@ class _Cycles(NamedTuple):
 
     def id_of(self, f) -> int:
         a, b, _ = f
+        m = self.s + 1
         if a < 0:
-            return self.cycle_of[(a, b)]
-        return self.cycle_of[(-a, b)] ^ self.flip
+            return self.cycle_of[a * m + b]
+        return self.cycle_of[b - a * m] ^ self.flip
 
     def mul(self, i: int, j: int) -> int:
         return self.id_of(_compose_raw(self.low[i], self.low[j], self.D, self.s))
@@ -220,13 +228,16 @@ def _power(mul, x: int, n: int) -> int:
     return out
 
 
-def _walk(f, D: int, s: int, cycle_of: dict, cid: int, pid: int):
+def _walk(
+    f, D: int, s: int, cycle_of: dict, seen: bytearray, cid: int, pid: int
+):
     """Number the rho-cycle C of the reduced form f as cid and sigma C as pid.
 
-    Only forms with a < 0 are stored, keyed by (a, b): those of C, and the
-    sign partners (-a, b, -c), on sigma C, of the forms of C with a > 0.  The
-    signs of a alternate along the cycle, so the walk carries |a|, b and |c|:
-    with q, e = divmod(s + b, 2|c|), rho gives b' = r = s - e and
+    Only forms with a < 0 are stored, keyed by a*(s + 1) + b: those of C,
+    and the sign partners (-a, b, -c), on sigma C, of the forms of C with
+    a > 0; seen[|a|] is set for each.  The signs of a alternate along the
+    cycle, so the walk carries |a|, b and |c|: with
+    q, e = divmod(s + b, 2|c|), rho gives b' = r = s - e and
     |c'| = |a| + q(b - r)/2.  It stops back at its start, or half way, at the
     start's sign partner, when sigma C = C.
 
@@ -237,18 +248,21 @@ def _walk(f, D: int, s: int, cycle_of: dict, cid: int, pid: int):
     if a > 0:
         a, b, c = _rho(a, b, c, D, s)
     A = A0 = -a
+    m = s + 1
     b0, C = b, c
-    lo = hi = (a, b)
+    lo = hi = a * m + b
     cycle_of[lo] = cid
-    plo, phi = (0, 0), (-D, 0)  # above and below every key
+    seen[A] = 1
+    plo, phi = 0, -D * m  # above and below every key
     while True:
         q, e = divmod(s + b, 2 * C)
         r = s - e
         A, b, C = C, r, A + (b - r) // 2 * q  # the form (A, b, -C)
         if b == b0 and A == A0:
             return lo, hi, plo, phi, True
-        key = (-A, b)
+        key = b - A * m
         cycle_of[key] = pid
+        seen[A] = 1
         if key < plo:
             plo = key
         if key > phi:
@@ -258,42 +272,51 @@ def _walk(f, D: int, s: int, cycle_of: dict, cid: int, pid: int):
         A, b, C = C, r, A + (b - r) // 2 * q  # the form (-A, b, C)
         if b == b0 and A == A0:
             return lo, hi, plo, phi, False
-        key = (-A, b)
+        key = b - A * m
         cycle_of[key] = cid
+        seen[A] = 1
         if key < lo:
             lo = key
         elif key > hi:
             hi = key
 
 
-def _prime_forms(D: int, s: int) -> list[tuple[int, int, int]]:
-    """The generators of the closure, each of norm at most s//2 + 1: the
-    forms (p, b, (b^2 - D)/4p) of the primes p with (D/p) != -1 that do not
-    divide the conductor f of D, and every primitive form (p^k, b, .) of
-    each prime p that does.
+def _prime_forms(D: int, s: int, seen=None) -> Iterator[tuple[int, int, int]]:
+    """The generators of the closure, by ascending prime, each of norm at
+    most s//2 + 1: the forms (p, b, (b^2 - D)/4p) of the primes p with
+    (D/p) != -1 that do not divide the conductor f of D, and every primitive
+    form (p^k, b, .) of each prime p that does.
 
     2 divides f exactly when D = 0, 4 (mod 16), and an odd p exactly when
-    p^2 | D.
+    p^2 | D.  The generators are yielded lazily, and a prime p off f yields
+    nothing, and costs no square root, once seen[p] is set: a walk has then
+    stored a reduced form (-p, b, c), whose sign partner (p, b, -c) is the
+    prime form of p or its inverse, since b = +-b_p (mod 2p).  The closure
+    holds both cycles of each walk and is closed under inverses, so that
+    generator would add no class and no relation.  With no seen, every
+    generator is yielded.
     """
+    if seen is None:
+        seen = bytes(s + 1)
     if D % 16 in (0, 4):
-        out = _prime_power_forms(2, D, s)
-    else:
+        yield from _prime_power_forms(2, D, s)
+    elif not seen[2]:
         b2 = next((b for b in range(4) if (b * b - D) % 8 == 0), None)
-        out = [] if b2 is None else [_prime_form(2, b2, D, s)]
+        if b2 is not None:
+            yield _prime_form(2, b2, D, s)
     spf = spf_table(s + 1)
     for p in range(3, s // 2 + 2, 2):
         if spf[p] != p:
             continue
-        b = sqrt_mod_prime(D, p)
-        if b is None:
-            continue
-        if b == 0 and D % (p * p) == 0:
-            out += _prime_power_forms(p, D, s)
-            continue
-        if (b - D) % 2:  # b = D (mod 2) makes b^2 = D (mod 4p)
-            b += p
-        out.append(_prime_form(p, b, D, s))
-    return out
+        if D % (p * p) == 0:
+            yield from _prime_power_forms(p, D, s)
+        elif not seen[p]:
+            b = sqrt_mod_prime(D, p)
+            if b is None:
+                continue
+            if (b - D) % 2:  # b = D (mod 2) makes b^2 = D (mod 4p)
+                b += p
+            yield _prime_form(p, b, D, s)
 
 
 def _prime_power_forms(p: int, D: int, s: int) -> list[tuple[int, int, int]]:
@@ -335,12 +358,14 @@ def _cycles(D: int) -> _Cycles:
     * a negative a costs one factor of the sign class.
     """
     s = _check_discriminant(D)
-    return _cycles_from(D, s, _prime_forms(D, s))
+    seen = bytearray(s + 1)  # the |a| of every form the walks store
+    return _cycles_from(D, s, _prime_forms(D, s, seen), seen)
 
 
-def _cycles_from(D: int, s: int, gens) -> _Cycles:
+def _cycles_from(D: int, s: int, gens, seen: bytearray) -> _Cycles:
     """Walk the principal cycle, which shows whether the sign class is
-    principal, then close the group under the classes of gens.
+    principal, then close the group under the classes of gens, which may
+    read seen as the walks set it.
 
     The group is kept in mixed radix: entry u + m*t of H<x> is H[u] x^t
     for m = #H, and the index in H of the first power x^n in H gives the
@@ -348,19 +373,20 @@ def _cycles_from(D: int, s: int, gens) -> _Cycles:
     its form of least positive a with the generator itself, and one walk,
     unless it is the sign partner (its id ^ 1) of a class just found.
     """
-    cycle_of: dict[tuple[int, int], int] = {}
+    cycle_of: dict[int, int] = {}
     least: list[tuple[int, int, int]] = []
     low: list[tuple[int, int, int]] = []
+    m = s + 1
 
     def number(least_key, low_key):
         # the least form of a cycle, and the sign partner of its low_key
-        a, b = least_key
+        a, b = divmod(least_key, m)
         least.append((a, b, (b * b - D) // (4 * a)))
-        a, b = low_key
+        a, b = divmod(low_key, m)
         low.append((-a, b, (D - b * b) // (4 * a)))
 
     def walk(f, cid, pid):
-        lo, hi, plo, phi, half = _walk(f, D, s, cycle_of, cid, pid)
+        lo, hi, plo, phi, half = _walk(f, D, s, cycle_of, seen, cid, pid)
         if half:
             number(min(lo, plo), max(hi, phi))
         else:
@@ -370,11 +396,11 @@ def _cycles_from(D: int, s: int, gens) -> _Cycles:
 
     def cls(a, b, c):
         if a < 0:
-            cid = cycle_of.get((a, b))
+            cid = cycle_of.get(a * m + b)
             if cid is not None:
                 return cid
         else:
-            cid = cycle_of.get((-a, b))
+            cid = cycle_of.get(b - a * m)
             if cid is not None:
                 return cid ^ flip
         cid = len(least)

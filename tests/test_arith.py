@@ -162,6 +162,44 @@ def test_factorize_pollard_path():
     assert factorize(n) == [(1000003, 1), (1000033, 1)]
 
 
+def naive_factorize(n):
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+def test_factorize_beyond_the_sieve_below_2_64(monkeypatch):
+    # without the sieve, n < 2**64 is divided by the primes up to 2**10 and
+    # split by rho: random n, products of two primes near 10**6, and the
+    # squares and cubes of primes above 2**10
+    monkeypatch.setattr(arith, "_spf", array("I"))
+    rng = random.Random(1024)
+    for _ in range(40):
+        n = rng.randrange(2 * 10**6, 10**12 + 1)
+        assert factorize(n) == naive_factorize(n), n
+    near = [p for p in range(10**6 - 200, 10**6 + 200) if naive_is_prime(p)]
+    for p, q in zip(near, near[1:]):
+        assert factorize(p * q) == [(p, 1), (q, 1)], (p, q)
+    for p in (1031, 65537, near[0]):
+        assert factorize(p * p) == [(p, 2)], p
+        assert factorize(3 * p**3) == [(3, 1), (p, 3)], p
+
+
+def test_factorize_above_2_64_keeps_the_long_trial_division(monkeypatch):
+    # no part of 2**64 or more is left for is_prime, which could not settle it
+    monkeypatch.setattr(arith, "_spf", array("I"))
+    primes = (100003, 100019, 100043, 100049)
+    assert math.prod(primes) >= 2**64
+    assert factorize(math.prod(primes)) == [(p, 1) for p in primes]
+
+
 def test_squarefree_range():
     got = [fs.value for fs in squarefree_range(1, 20)]
     assert got == [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19]

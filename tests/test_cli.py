@@ -525,6 +525,17 @@ GOLDEN_STDOUT = {
     ("unit", "1365"): (
         "0c17454494f0c83bd700b6a4e7981014b69830d6478350397e4002d22a51a8d7"
     ),
+    # period 8056, 4189 digits: many runs of the unit's product tree
+    ("unit", "356671486"): (
+        "2ce0bbdb59b7508a217c2f4e2e24153a6113b263d0dbf037bba09516c849e690"
+    ),
+    # the oracle on D and 8d with the closure's skipped generators
+    ("classify", "889405", "--verify", "--oracle-limit", "8000000"): (
+        "6e1cb25f39931acc435e1fc8023e7367dcb5346db3ee9365f808eb99682c26d9"
+    ),
+    ("classgroup", "3999932", "--ordinary"): (
+        "8f6c17006c92ad2c46885fa93529f4b485e26ba0768cdd983e306e766c15640c"
+    ),
     ("find-primes", "--mod8", "5,5,7,3", "--symbols", "2,1=-1;3,1=-1;4,3=-1"): (
         "119537767cdd9725af33e9196496e29461248d398de876cbbfff009b29c14a7b"
     ),

@@ -442,7 +442,8 @@ def _assert_builders_agree(D):
         assert ref.cycle_of[oracle._rho(*f, D, ref.s)] == cid, (D, f)
     # the same cycles with the same representatives: h+ agrees; only the
     # forms with a < 0 are stored, each standing for its sign partner too
-    assert set(new.cycle_of) == {(a, b) for a, b, _ in primitive if a < 0}, D
+    keys = {divmod(key, new.s + 1) for key in new.cycle_of}
+    assert keys == {(a, b) for a, b, _ in primitive if a < 0}, D
     pairs = {(ref.cycle_of[f], new.id_of(f)) for f in primitive}
     assert len(pairs) == len(ref.reps) == len(new.least), D
     assert all(ref.reps[i] == new.least[j] for i, j in pairs), D
@@ -573,7 +574,7 @@ def _conductor_primes(D):
 def test_prime_forms_are_the_non_inert_primes_up_to_the_bound():
     for D in (5, 8, 12, 1365, 10920, 400000001):
         s = math.isqrt(D)
-        gens = oracle._prime_forms(D, s)
+        gens = list(oracle._prime_forms(D, s))
         assert [f[0] for f in gens] == [
             p
             for p in range(2, s // 2 + 2)
@@ -588,7 +589,7 @@ def test_prime_forms_are_the_non_inert_primes_up_to_the_bound():
     for D in (45, 80, 400000020, *DEEP_CONDUCTORS):
         s = math.isqrt(D)
         bound = s // 2 + 1
-        gens = oracle._prime_forms(D, s)
+        gens = list(oracle._prime_forms(D, s))
         on = _conductor_primes(D)
         assert on and not is_fundamental(D), D
         for a, b, c in gens:
@@ -610,6 +611,28 @@ def test_prime_forms_are_the_non_inert_primes_up_to_the_bound():
                 }
                 assert {b % (2 * q) for a, b, _ in gens if a == q} == want, (D, q)
                 q *= p
+
+
+def test_closure_takes_roots_only_for_generators_that_grow_the_group(monkeypatch):
+    # a prime off the conductor whose norm a walk has met is in the group
+    # already, so no square root is taken for it: each root left belongs to
+    # a generator that adds a relation row, bar the few whose prime form is
+    # not reduced (2p >= sqrt(D)) and so need not meet a form of norm p
+    roots = []
+
+    def counted(n, p):
+        r = sqrt_mod_prime(n, p)
+        if r is not None:
+            roots.append(p)
+        return r
+
+    sqrt_mod_prime = oracle.sqrt_mod_prime
+    monkeypatch.setattr(oracle, "sqrt_mod_prime", counted)
+    for D in (6038120, 999999999997):
+        roots.clear()
+        oracle.class_group_summary.__wrapped__(D)
+        took = len(roots)
+        assert took <= len(oracle._cycles(D).relations) + 2, (D, took)
 
 
 def test_bounded_summary_cache_leaves_the_verify_document_unchanged(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -186,6 +187,22 @@ def test_half_period_unit_with_more_than_4300_digits():
     d = 40000159
     assert_half_period_unit(d)
     assert (_cf_unit(d)[0] // 2).bit_length() > 4300 * math.log2(10)
+
+
+def test_half_period_unit_memory_is_linear_in_the_unit():
+    # the streamed product tree holds O(log) matrices of falling size and no
+    # list of the quotients: a peak of about 21 bytes a byte of X, where a
+    # list of the 62067 quotients of the half period reaches about 40
+    d = 10**10 + 19
+    tracemalloc.start()
+    try:
+        X, _, period = _cf_unit(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (X.bit_length() + 7) // 8
+    assert (period, size) == (124134, 26539)
+    assert peak < 32 * size, peak / size
 
 
 def test_unit_norms():
