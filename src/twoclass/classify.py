@@ -1,7 +1,7 @@
 """Headline classifiers and prediction reports.
 
-Three classifiers read congruence and Legendre-symbol data off the prime
-factorization of an odd square-free d:
+Three classifiers read congruence data off the prime factorization of an odd
+square-free d, and Legendre symbols off its Redei matrix (redei_matrix):
 
 * stable_rank_type: the three congruence patterns that are equivalent
   (given that the places above 2 are totally ramified in the first tower
@@ -42,6 +42,7 @@ from .biquad import (
 from .forms import Abelian2Group, class_group_summary
 from .genus import genus_rank, narrow_genus_rank
 from .quadfield import discriminant
+from .redei import redei_matrix
 
 
 class OutOfTable(ValueError):
@@ -123,7 +124,8 @@ def stable_rank_type(d) -> Optional[int]:
 # --- classifiers 2 and 3: symbol conditions --------------------------------
 
 # Each condition is a predicate on L, where L(i, j) is the Legendre symbol
-# (x_i / x_j) of the labeled primes (SymbolSpec.L).  Labels for ppqq: 1, 2
+# (x_i / x_j) of the labeled primes, which the classifiers read off the Redei
+# matrix of d and the spec builders off a SymbolSpec.  Labels for ppqq: 1, 2
 # are the two primes = 5 (mod 8), 3 is the prime = 7, 4 is the prime = 3.
 
 _PPQQ_CONDITIONS: tuple[Callable, ...] = (
@@ -295,20 +297,23 @@ def _first_match(
     fs: FactoredSquarefree, criterion: _Criterion
 ) -> Optional[ConditionMatch]:
     """The criterion's first condition, in order, that holds under some
-    labeling of fs.primes with its residues mod 8; labelings are tried in
-    the order of itertools.permutations."""
-    pairs = list(itertools.combinations(range(1, len(criterion.residues) + 1), 2))
-    labelings = {
-        labels: SymbolSpec.of(
-            criterion.residues,
-            {(k, j): kronecker(labels[k - 1], labels[j - 1]) for j, k in pairs},
-        )
+    labeling of fs.primes with its residues mod 8, in itertools.permutations
+    order.  Both residue lists give d = 1 (mod 4): D = d, with the p* as the
+    prime discriminants of its Redei matrix."""
+    rows = redei_matrix([p if p % 4 == 1 else -p for p in fs.primes])
+    # (x / y) = (x* / y) (x / y)(y / x): bit a of row b, times reciprocity
+    legendre = {
+        (x, y): (-1) ** (rows[b] >> a & 1) * _reciprocity(x, y)
+        for (a, x), (b, y) in itertools.product(enumerate(fs.primes), repeat=2)
+    }
+    labelings = [
+        labels
         for labels in itertools.permutations(fs.primes)
         if tuple(p % 8 for p in labels) == criterion.residues
-    }
+    ]
     for idx, cond in enumerate(criterion.conditions, start=1):
-        for labels, spec in labelings.items():
-            if cond(spec.L):
+        for labels in labelings:
+            if cond(lambda i, j: legendre[labels[i - 1], labels[j - 1]]):
                 return ConditionMatch(idx, labels)
     return None
 

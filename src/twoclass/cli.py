@@ -4,7 +4,7 @@ Subcommands: classify, enumerate, find-primes, verify, unit, classgroup,
 s1s2.  Output is a JSON report document (schema documented in
 docs/report-schema.md) or CSV rows for sweeps with --csv.  Exit codes:
 0 success, 1 usage error (or stdout closed early), 2 verification
-mismatch, 3 oracle range exceeded.
+mismatch, 3 oracle (or unit) range exceeded.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .redei import splitting_sets
 
 SCHEMA_VERSION = "1"
 
-# the largest classgroup D and sweep --max: the oracle and the sweeps' window
-# sieve tabulate the primes up to its square root, here a million entries
+# the largest classgroup D, sweep --max and unit d: the sieves tabulate the
+# primes up to its square root, a million, and a unit's period is of that size
 SQRT_SIEVE_LIMIT = 10**12
 
 
@@ -241,6 +241,8 @@ def _half(n: int) -> str:
 
 
 def _cmd_unit(args, out) -> int:
+    if args.d > SQRT_SIEVE_LIMIT:
+        raise OracleRangeExceeded(f"d {args.d} exceeds unit limit {SQRT_SIEVE_LIMIT}")
     fu = fundamental_unit(args.d)
     doc = _document(
         "unit",

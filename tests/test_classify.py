@@ -8,7 +8,9 @@ from twoclass import arith
 from twoclass.arith import kronecker, squarefree_range
 from twoclass.biquad import first_layer_rank
 from twoclass.classify import (
+    _CRITERIA,
     _PPQQ_CONDITIONS,
+    ConditionMatch,
     stable_rank_type,
     structure_condition_ppqq,
     structure_condition_qqqq,
@@ -172,6 +174,46 @@ def test_ppqq_condition_2_is_condition_1_with_p1_p2_swapped():
         if sorted(p % 8 for p in fs.primes) == [3, 5, 5, 7]:
             match = structure_condition_ppqq(fs)
             assert match is None or match.condition != 2, fs.value
+
+
+def _first_match_reference(fs, criterion):
+    """The criterion's first condition under some labeling, with one
+    SymbolSpec of kronecker symbols per labeling, in permutations order."""
+    pairs = list(itertools.combinations(range(1, len(criterion.residues) + 1), 2))
+    labelings = {
+        labels: SymbolSpec.of(
+            criterion.residues,
+            {(k, j): kronecker(labels[k - 1], labels[j - 1]) for j, k in pairs},
+        )
+        for labels in itertools.permutations(fs.primes)
+        if tuple(p % 8 for p in labels) == criterion.residues
+    }
+    for idx, cond in enumerate(criterion.conditions, start=1):
+        for labels, spec in labelings.items():
+            if cond(spec.L):
+                return ConditionMatch(idx, labels)
+    return None
+
+
+def test_classifiers_read_the_redei_matrix_as_the_symbol_specs_do():
+    classifiers = {"ppqq": structure_condition_ppqq, "qqqq": structure_condition_qqqq}
+    fields = {"ppqq": 0, "qqqq": 0}
+    matches = set()
+    for fs in squarefree_range(3, 250000, 2):
+        criterion = _CRITERIA.get(tuple(sorted(p % 8 for p in fs.primes)))
+        if criterion is None:
+            continue
+        match = classifiers[criterion.name](fs)
+        assert match == _first_match_reference(fs, criterion), fs.value
+        fields[criterion.name] += 1
+        matches.add((criterion.name, match and match.condition))
+    assert fields == {"ppqq": 713, "qqqq": 202}
+    # the first matches below 250000: ppqq (2) is never first (see above),
+    # and of the nine qqqq conditions only (1) and (4) are
+    assert matches == {
+        ("ppqq", 1), ("ppqq", 3), ("ppqq", None),
+        ("qqqq", 1), ("qqqq", 4), ("qqqq", None),
+    }
 
 
 def test_qqqq_condition_shapes():

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import weakref
 
 import pytest
@@ -413,13 +414,37 @@ def test_classgroup_oracle_limit(capsys):
     assert cli.SQRT_SIEVE_LIMIT >= 4 * 10**6
 
 
+def test_unit_refuses_d_past_the_limit_before_factoring(capsys):
+    # unit 1000000000000000003 once ran past 20 s with its RSS growing
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    d = "1000000000000000003"
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "twoclass.cli", "unit", d],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert time.monotonic() - start < 2
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"error: d {d} exceeds unit limit {cli.SQRT_SIEVE_LIMIT}\n"
+    for d in (cli.SQRT_SIEVE_LIMIT + 1, 2**64 + 13):
+        capsys.readouterr()
+        assert run_json(["unit", str(d)]) == (3, None, "")
+        assert capsys.readouterr().err.startswith(f"error: d {d} exceeds unit limit")
+    # the limit admits every unit d the benchmark asks about
+    assert cli.SQRT_SIEVE_LIMIT >= 10**9
+
+
 def test_input_beyond_2_64_names_the_supported_range(capsys):
     big = str(2**64 + 13)  # a prime
-    for argv, name in (
-        (["classify", big], "d"),
-        (["unit", big], "d"),
-        (["s1s2", big], "D"),
-    ):
+    # unit refuses such a d at its limit, before factoring
+    for argv, name in ((["classify", big], "d"), (["s1s2", big], "D")):
         capsys.readouterr()
         assert run_json(argv) == (1, None, ""), argv
         err = capsys.readouterr().err

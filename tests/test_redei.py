@@ -1,9 +1,14 @@
+import math
+import random
+
 import pytest
 
-from twoclass.arith import squarefree_range
+from genus_reference import is_fundamental
+from s2_reference import s2_reference
+from twoclass.arith import primes_upto, squarefree_range
 from twoclass.forms import class_group_summary
 from twoclass.genus import NotFundamental, prime_discriminants
-from twoclass.redei import elementary_transfer_applies, splitting_sets
+from twoclass.redei import elementary_transfer_applies, redei_matrix, splitting_sets
 
 
 def test_s1_examples():
@@ -84,3 +89,56 @@ def test_elementary_transfer_applies():
     assert not elementary_transfer_applies(1885)
     assert not elementary_transfer_applies(2)
     assert elementary_transfer_applies(3)
+
+
+def _rank(rows) -> int:
+    """The F2 rank of int bitmask rows, by XOR elimination."""
+    rows, rank = list(rows), 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
+def _seeded_discriminants(count: int = 3600) -> list[int]:
+    """Fundamental D of either sign with 4 to 10 prime discriminants: p* for
+    odd p < 100, and at most one of -4, 8, -8."""
+    rng = random.Random(20261020)
+    odd = [p if p % 4 == 1 else -p for p in primes_upto(100)[1:]]
+    out = []
+    for _ in range(count):
+        t = rng.randint(4, 10)
+        even = rng.choice([[], [-4], [8], [-8]])
+        out.append(math.prod(rng.sample(odd, t - len(even)) + even))
+    return out
+
+
+def _assert_kernel_is_s2(D: int) -> None:
+    s2 = splitting_sets(D)[1]
+    assert s2 == s2_reference(D), D
+    discs = prime_discriminants(D)
+    assert len(s2) == 2 ** (len(discs) - 1 - _rank(redei_matrix(discs))), D
+
+
+def test_s2_is_the_kernel_below_20000():
+    fundamental = [D for D in range(-19999, 20000) if is_fundamental(D)]
+    assert len(fundamental) == 12160
+    for D in fundamental:
+        _assert_kernel_is_s2(D)
+
+
+def test_s2_is_the_kernel_with_4_to_10_prime_discriminants():
+    seeded = _seeded_discriminants()
+    assert {len(prime_discriminants(D)) for D in seeded} == set(range(4, 11))
+    for D in seeded:
+        _assert_kernel_is_s2(D)
+
+
+def test_redei_matrix_rows():
+    # D = -4 * 5 * -7 = 140: (5/2) = -1, (-7/2) = 1, (-4/5) = 1, (-7/5) = -1,
+    # (-4/7) = -1, (5/7) = -1
+    assert redei_matrix([5, -7, -4]) == [0b011, 0b101, 0b101]
+    assert redei_matrix([-4, 5, -7]) == [0b011, 0b110, 0b011]
