@@ -14,8 +14,16 @@ square-free d, and Legendre symbols off its Redei matrix (redei_matrix):
 
 predict() assembles ranks (genus theory and the first-layer rank formula),
 structures (where a classifier fires), the Fukuda tower claim, and tension
-flags; verify_against_oracle() replays every oracle-checkable claim
-against the form class groups; sweep() runs both over a range of d.
+flags, once per signature of d: the residues mod 8 of its primes, whether
+some p = 1 (mod 8) fails the quartic test 2^((p-1)/4), and the matched
+condition.  Every claim reads only these: the shape and the genus ranks of
+K and K' count primes by class and read d mod 4, the first-layer rank adds
+the quartic test, the rank pattern reads the residues, the tower claim and
+the flags read d mod 4 and the ranks, and the structures name the condition.
+A module-level memo keeps one report per signature, so it is bounded by the
+residue multisets x 2 x matched conditions.  verify_against_oracle()
+replays every oracle-checkable claim against the form class groups; sweep()
+runs both over a range of d.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .arith import (
     kronecker,
     primes_upto,
     squarefree_range,
+    two_power_residue_test,
 )
 from .biquad import (
     first_layer_rank,
@@ -250,7 +259,7 @@ class SymbolSpec(_SymbolSpecFields):
         return tuple.__new__(cls, (residues, symbols))
 
     def symbol(self, k: int, j: int) -> Optional[int]:
-        return dict(self.symbols).get((k, j))
+        return next((eps for pair, eps in self.symbols if pair == (k, j)), None)
 
     def L(self, i: int, j: int) -> int:
         """(x_i / x_j), i != j, on a spec that fixes every pair."""
@@ -542,11 +551,37 @@ class PredictionReport(NamedTuple):
         }
 
 
+# The report of each signature seen so far; see predict.
+_TEMPLATES: dict[tuple, PredictionReport] = {}
+
+
 def predict(d) -> PredictionReport:
-    """Assemble every claim the congruence/symbol machinery supports for d."""
+    """Assemble every claim the congruence/symbol machinery supports for d.
+
+    Every claim is a function of d's signature: the residues mod 8 of its
+    primes, whether some p = 1 (mod 8) fails the quartic test, and the
+    matched condition (the module docstring says why).  So each signature's
+    report is assembled once and kept, the memo bounded by the number of
+    signatures, and a later field of that signature gets the report with
+    its own factorization and ConditionMatch.
+    """
     fs = as_factored(d)
     if fs.value % 2 == 0 or fs.value < 3:
         raise ValueError("predictions are for odd square-free d >= 3")
+    residues = _residues(fs)
+    criterion = _CRITERIA.get(residues)
+    match = None if criterion is None else _first_match(fs, criterion)
+    obstructed = any(p % 8 == 1 and two_power_residue_test(p) for p in fs.primes)
+    signature = (residues, obstructed, None if match is None else match.condition)
+    template = _TEMPLATES.get(signature)
+    if template is None:
+        template = _TEMPLATES[signature] = _assemble(fs, residues, criterion, match)
+    ppqq, qqqq = (match, None) if criterion is _PPQQ else (None, match)
+    return template._replace(factored=fs, ppqq_condition=ppqq, qqqq_condition=qqqq)
+
+
+def _assemble(fs, residues, criterion, match) -> PredictionReport:
+    """predict's report for the odd square-free fs, built claim by claim."""
     flags: list[str] = []
     try:
         shape = shape_of(fs)
@@ -556,7 +591,6 @@ def predict(d) -> PredictionReport:
     rank_k = Claim(genus_rank(fs), "genus field")
     rank_kp = Claim(genus_rank(doubled(fs)), "genus field of Q(sqrt(2d))")
     rank_k1 = Claim(first_layer_rank(fs), "first-layer rank formula")
-    residues = _residues(fs)
     pattern = _RANK_PATTERNS.get(residues)
     # pattern (1) promises rank 2; the rank formula gives 3 exactly when its
     # prime = 1 (mod 8) fails the 2-power residue obstruction
@@ -566,8 +600,6 @@ def predict(d) -> PredictionReport:
             "fails the 2-power residue obstruction, rank formula gives "
             f"{rank_k1.value}"
         )
-    criterion = _CRITERIA.get(residues)
-    match = None if criterion is None else _first_match(fs, criterion)
     if _unmatched_iff(criterion, match):
         flags.append(
             f"{criterion.name} shape with no matching criterion: by the stated "

@@ -3,9 +3,16 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from twoclass import arith
-from twoclass.arith import kronecker, squarefree_range
+from twoclass import arith, classify
+from twoclass.arith import (
+    FactoredSquarefree,
+    kronecker,
+    squarefree_range,
+    two_power_residue_test,
+)
 from twoclass.biquad import first_layer_rank
 from twoclass.classify import (
     _CRITERIA,
@@ -224,6 +231,15 @@ def test_qqqq_condition_shapes():
         assert 1 <= m.condition <= 9
     with pytest.raises(WrongShape):
         structure_condition_qqqq(3 * 11 * 19 * 43)  # no 7 (mod 8) prime
+
+
+def test_symbol_reads_the_pairs_the_spec_holds():
+    spec = SymbolSpec.of((5, 5, 7, 3), {(2, 1): -1, (4, 3): 1, (4, 1): -1})
+    assert [spec.symbol(*pair) for pair in ((2, 1), (4, 3), (4, 1))] == [-1, 1, -1]
+    assert spec.symbol(3, 1) is None and spec.symbol(1, 2) is None
+    full = spec_for_ppqq_condition(1)
+    assert all(full.symbol(k, j) == eps for (k, j), eps in full.symbols)
+    assert full.L(1, 2) == full.symbol(2, 1)  # 5 and 5: no reciprocity sign
 
 
 def test_symbol_spec_validation():
@@ -523,3 +539,129 @@ def test_report_carries_the_factorization_it_was_given(monkeypatch):
     monkeypatch.setattr("twoclass.genus.starred_prime", boom)
     assert predict(fs) == report
     assert verify_against_oracle(report).ok
+
+
+# --- the signature memo of predict ------------------------------------------
+
+
+@pytest.fixture
+def empty_templates():
+    """predict's signature memo, empty, and emptied again afterwards: for
+    tests that count assemblies or patch a layer the assembly calls."""
+    classify._TEMPLATES.clear()
+    yield classify._TEMPLATES
+    classify._TEMPLATES.clear()
+
+
+def _uncached(fs):
+    """predict(fs) assembled from scratch, the memo left as it was."""
+    saved = dict(classify._TEMPLATES)
+    classify._TEMPLATES.clear()
+    try:
+        return predict(fs)
+    finally:
+        classify._TEMPLATES.clear()
+        classify._TEMPLATES.update(saved)
+
+
+def _signature(fs):
+    residues = tuple(sorted(p % 8 for p in fs.primes))
+    obstructed = any(p % 8 == 1 and two_power_residue_test(p) for p in fs.primes)
+    match = None
+    if residues == (3, 5, 5, 7):
+        match = structure_condition_ppqq(fs)
+    elif residues == (3, 3, 3, 7):
+        match = structure_condition_qqqq(fs)
+    return residues, obstructed, match and match.condition
+
+
+def test_predict_equals_the_uncached_assembly_below_60000():
+    for fs in squarefree_range(3, 60000, 2):
+        report = predict(fs)
+        assert report == _uncached(fs), fs.value
+        assert report.factored is fs
+
+
+def _prime_kinds():
+    """The odd primes below 200 by residue mod 8, those = 1 split by the
+    quartic test: a product of 8 of them stays below 2**64."""
+    kinds = {}
+    for p in arith.primes_upto(200)[1:]:
+        kind = str(p % 8)
+        if p % 8 == 1:
+            kind += " fails" if two_power_residue_test(p) else " passes"
+        kinds.setdefault(kind, []).append(p)
+    return kinds
+
+
+_PRIME_KINDS = _prime_kinds()
+
+
+def test_prime_kinds_cover_every_residue_and_both_quartic_outcomes():
+    assert sorted(_PRIME_KINDS) == ["1 fails", "1 passes", "3", "5", "7"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(sorted(_PRIME_KINDS)).flatmap(
+            lambda kind: st.sampled_from(_PRIME_KINDS[kind])
+        ),
+        min_size=1,
+        max_size=8,
+        unique=True,
+    )
+)
+@example([17, 41, 3, 5, 7])  # both quartic outcomes with every residue
+@example([41, 5, 13])  # rank pattern (1), quartic test passed
+@example([17, 5, 13])  # rank pattern (1), quartic test failed
+@example([5, 13, 7, 3])  # ppqq
+@example([7, 3, 11, 19])  # qqqq
+def test_predict_equals_the_uncached_assembly_on_drawn_products(primes):
+    primes = sorted(primes)
+    fs = FactoredSquarefree(math.prod(primes), tuple(primes))
+    report = predict(fs)
+    assert report == _uncached(fs)
+    assert report.to_json() == _uncached(fs).to_json()
+
+
+def test_reports_do_not_depend_on_which_field_seeded_a_template(empty_templates):
+    fields = list(squarefree_range(3, 60000, 2))
+    ascending = [predict(fs) for fs in fields]
+    empty_templates.clear()
+    descending = [predict(fs) for fs in reversed(fields)]
+    assert ascending == descending[::-1]
+
+
+def test_one_assembly_per_signature(monkeypatch, empty_templates):
+    calls = {"genus_rank": 0, "first_layer_rank": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(classify, name, counted(name, getattr(classify, name)))
+    signatures = {_signature(r.report.factored) for r in sweep(3, 250000)}
+    assert len(empty_templates) == len(signatures)
+    assert calls == {"genus_rank": 2 * len(signatures), "first_layer_rank": len(signatures)}
+    list(sweep(3, 250000))
+    assert len(empty_templates) == len(signatures)
+    assert calls["first_layer_rank"] == len(signatures)
+
+
+def test_criterion_fields_keep_their_own_labeling():
+    labelings = {}
+    for fs in squarefree_range(3, 60000, 2):
+        report = predict(fs)
+        match = report.ppqq_condition or report.qqqq_condition
+        if match is None:
+            continue
+        assert sorted(match.labeling) == list(fs.primes), fs.value
+        labelings.setdefault(_signature(fs), set()).add(match.labeling)
+    # every matched signature is shared by fields with their own labelings
+    assert len(labelings) >= 3
+    assert all(len(seen) > 1 for seen in labelings.values())

@@ -575,6 +575,23 @@ def test_stdout_is_byte_identical_to_the_golden_documents():
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, argv
 
 
+def test_find_primes_on_every_condition_spec_is_pinned():
+    # the twelve specs the condition builders derive, fed back to find-primes
+    specs = [classify.spec_for_ppqq_condition(c) for c in range(1, 4)] + [
+        classify.spec_for_qqqq_condition(c) for c in range(1, 10)
+    ]
+    digest = hashlib.sha256()
+    for spec in specs:
+        symbols = ";".join(f"{k},{j}={eps}" for (k, j), eps in spec.symbols)
+        mod8 = ",".join(map(str, spec.residues))
+        out = io.StringIO()
+        assert cli.run(["find-primes", "--mod8", mod8, "--symbols", symbols], out) == 0
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == (
+        "e8442d8fa0846cab629bbe24dd51bd41601c8222053df19b95a3c591cd0efca2"
+    )
+
+
 @pytest.mark.parametrize(
     "argv", [["enumerate", "--max", "20000"], ["classify", "1365"]]
 )
