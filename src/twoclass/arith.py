@@ -11,8 +11,7 @@ of its length writes itself over its multiples from its square on, the
 largest prime first, so that the least prime of each composite is written
 last.  Primality reads that sieve where it reaches and runs Miller-Rabin
 beyond it, with witness sets that are proven exact on their range:
-(2, 3) below 1373653 (Pomerance, Selfridge and Wagstaff, Math. Comp. 35,
-1980), (2, 7, 61) below 4759123141 (Jaeschke, Math. Comp. 61, 1993) and the
+(2, 7, 61) below 4759123141 (Jaeschke, Math. Comp. 61, 1993) and the
 first twelve primes below 2**64 (Sorenson-Webster); the last 1024 answers
 beyond the sieve are memoised.  Sweeps factor their window with a
 segmented sieve (`squarefree_range`): only the primes up to the square root
@@ -46,19 +45,14 @@ class BeyondPrimalityRange(ValueError):
     """n >= 2**64, past the witness sets that make primality exact."""
 
 
-# Miller-Rabin witness sets, each exact for every n below its bound, the
-# least strong pseudoprime to all its witnesses: 1373653 = 829 * 1657 for
-# (2, 3) (Pomerance, Selfridge and Wagstaff, Math. Comp. 35, 1980),
-# 4759123141 = 48781 * 97561 for (2, 7, 61) (Jaeschke, Math. Comp. 61,
-# 1993), and 2**64 for the first twelve primes (Sorenson-Webster)
-_MR_TINY_LIMIT = 1_373_653
+# Miller-Rabin witness sets, each exact for every n below its bound:
+# (2, 7, 61) below 4759123141 = 48781 * 97561, the least strong pseudoprime
+# to all three (Jaeschke, Math. Comp. 61, 1993); the first twelve primes
+# below 2**64 (Sorenson-Webster)
 _MR_SMALL_LIMIT = 4_759_123_141
+_MR_SMALL_WITNESSES = (2, 7, 61)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 1 << 64
-_MR_TIERS = (
-    (_MR_TINY_LIMIT, (2, 3)),
-    (_MR_SMALL_LIMIT, (2, 7, 61)),
-    (_MR_LIMIT, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-)
 
 # trial division runs through the largest witness, so that no witness is a
 # multiple of the n it tests (61 would call 61 composite)
@@ -70,10 +64,9 @@ def is_prime(n: int) -> bool:
 
     The sieve answers when it covers n.  Otherwise trial division by the
     primes through 61 and strong-probable-prime tests to the witnesses
-    (2, 3) when n < 1373653 (Pomerance, Selfridge and Wagstaff, Math.
-    Comp. 35, 1980), to (2, 7, 61) when n < 4759123141 (Jaeschke, Math.
-    Comp. 61, 1993), or else to the first twelve primes (Sorenson-Webster),
-    each exact on its range.  No answer is probabilistic.
+    (2, 7, 61) when n < 4759123141, which is exact there (Jaeschke, Math.
+    Comp. 61, 1993), or to the first twelve primes, which is exact below
+    2**64 (Sorenson-Webster).  No answer is probabilistic.
     """
     if n < 0:
         raise ValueError("primality is defined for nonnegative integers")
@@ -104,7 +97,7 @@ def _is_prime_beyond_sieve(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    witnesses = next(w for bound, w in _MR_TIERS if n < bound)
+    witnesses = _MR_SMALL_WITNESSES if n < _MR_SMALL_LIMIT else _MR_WITNESSES
     for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

@@ -67,14 +67,20 @@ def first_layer_rank(d) -> int:
     """
     fs = as_factored(d)
     t1 = ramified_place_count(fs)
+    if any(p % 8 == 7 for p in fs.primes):
+        return t1 - 3
     if any(p % 4 == 3 for p in fs.primes):
-        if any(p % 8 == 7 for p in fs.primes):
-            return t1 - 3
         return t1 - 2
-    obstructed = any(
-        p % 8 == 1 and two_power_residue_test(p) for p in fs.primes
-    )
-    return t1 - 2 if obstructed else t1 - 1
+    return t1 - 2 if quartic_obstruction(fs) else t1 - 1
+
+
+def quartic_obstruction(d) -> bool:
+    """The obstruction of first_layer_rank: no prime divisor = 3 (mod 4), and
+    some p = 1 (mod 8) with 2^((p-1)/4) != (-1)^((p-1)/8) mod p."""
+    fs = as_factored(d)
+    if any(p % 4 == 3 for p in fs.primes):
+        return False
+    return any(p % 8 == 1 and two_power_residue_test(p) for p in fs.primes)
 
 
 # --- the Hasse unit index from integer parity vectors ----------------------

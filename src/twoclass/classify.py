@@ -14,14 +14,14 @@ square-free d, and Legendre symbols off its Redei matrix (redei_matrix):
 
 predict() assembles ranks (genus theory and the first-layer rank formula),
 structures (where a classifier fires), the Fukuda tower claim, and tension
-flags, once per signature of d: the residues mod 8 of its primes, whether
-some p = 1 (mod 8) fails the quartic test 2^((p-1)/4), and the matched
-condition.  Every claim reads only these: the shape and the genus ranks of
-K and K' count primes by class and read d mod 4, the first-layer rank adds
-the quartic test, the rank pattern reads the residues, the tower claim and
-the flags read d mod 4 and the ranks, and the structures name the condition.
-A module-level memo keeps one report per signature, so it is bounded by the
-residue multisets x 2 x matched conditions.  verify_against_oracle()
+flags, once per signature of d: the residues mod 8 of its primes, the
+quartic obstruction (no prime = 3 (mod 4), and some p = 1 (mod 8) fails the
+test 2^((p-1)/4)) and the matched condition.  Every claim reads only these:
+shape and genus ranks count primes by class and read d mod 4, the
+first-layer rank adds the obstruction, the rank pattern reads the residues,
+the tower claim and flags read d mod 4 and the ranks, and the structures
+name the condition.  So a memo of one report per signature holds at most
+residue multisets x 2 x matched conditions of them.  verify_against_oracle()
 replays every oracle-checkable claim against the form class groups; sweep()
 runs both over a range of d.
 """
@@ -40,12 +40,12 @@ from .arith import (
     kronecker,
     primes_upto,
     squarefree_range,
-    two_power_residue_test,
 )
 from .biquad import (
     first_layer_rank,
     hasse_unit_index,
     kuroda_order,
+    quartic_obstruction,
     structure_from_rank_and_order,
 )
 from .forms import Abelian2Group, class_group_summary
@@ -558,12 +558,10 @@ _TEMPLATES: dict[tuple, PredictionReport] = {}
 def predict(d) -> PredictionReport:
     """Assemble every claim the congruence/symbol machinery supports for d.
 
-    Every claim is a function of d's signature: the residues mod 8 of its
-    primes, whether some p = 1 (mod 8) fails the quartic test, and the
-    matched condition (the module docstring says why).  So each signature's
-    report is assembled once and kept, the memo bounded by the number of
-    signatures, and a later field of that signature gets the report with
-    its own factorization and ConditionMatch.
+    Every claim is a function of d's signature, the residues mod 8 of its
+    primes, quartic_obstruction(d) and the matched condition (the module
+    docstring says why), so one report per signature is assembled and kept,
+    and each field gets it with its own factorization and ConditionMatch.
     """
     fs = as_factored(d)
     if fs.value % 2 == 0 or fs.value < 3:
@@ -571,8 +569,8 @@ def predict(d) -> PredictionReport:
     residues = _residues(fs)
     criterion = _CRITERIA.get(residues)
     match = None if criterion is None else _first_match(fs, criterion)
-    obstructed = any(p % 8 == 1 and two_power_residue_test(p) for p in fs.primes)
-    signature = (residues, obstructed, None if match is None else match.condition)
+    condition = None if match is None else match.condition
+    signature = (residues, quartic_obstruction(fs), condition)
     template = _TEMPLATES.get(signature)
     if template is None:
         template = _TEMPLATES[signature] = _assemble(fs, residues, criterion, match)

@@ -108,49 +108,13 @@ def test_strong_pseudoprimes_rejected():
 
 
 def test_is_prime_by_miller_rabin_alone_below_10_6(monkeypatch):
-    # with no sieve every n > 61 takes the (2, 3) witnesses; 61 itself
+    # with no sieve every n > 61 takes the (2, 7, 61) witnesses; 61 itself
     # must be settled by trial division before its own witness sees it
     sieve = arith.spf_table(10**6)
     expected = [n >= 2 and sieve[n] == n for n in range(10**6)]
     monkeypatch.setattr(arith, "_spf", [])
     bad = [n for n in range(10**6) if is_prime(n) != expected[n]]
     assert not bad, bad[:5]
-
-
-def _strong_probable_prime(n, a):
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    x = pow(a, d, n)
-    if x in (1, n - 1):
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-def test_witnesses_2_and_3_are_exact_below_1373653(monkeypatch):
-    # 1373653 = 829 * 1657 is the least strong pseudoprime to both 2 and 3
-    # (Pomerance, Selfridge and Wagstaff, 1980): below it, base 3 rejects
-    # every odd composite that base 2 lets through
-    bound = arith._MR_TINY_LIMIT
-    assert bound == 1373653 == 829 * 1657
-    primes = set(arith.primes_upto(bound))
-    liars = [
-        n
-        for n in range(3, bound, 2)
-        if n not in primes and _strong_probable_prime(n, 2)
-    ]
-    assert liars[:3] == [2047, 3277, 4033]
-    monkeypatch.setattr(arith, "_spf", [])
-    arith._is_prime_beyond_sieve.cache_clear()
-    for n in liars:
-        assert not _strong_probable_prime(n, 3), n
-        assert not is_prime(n), n
-    assert _strong_probable_prime(bound, 2) and _strong_probable_prime(bound, 3)
-    assert not is_prime(bound)
 
 
 def test_is_prime_across_the_witness_tiers(monkeypatch):

@@ -10,6 +10,7 @@ from twoclass.biquad import (
     first_layer_rank,
     hasse_unit_index,
     kuroda_order,
+    quartic_obstruction,
     ramified_place_count,
     structure_from_rank_and_order,
 )
@@ -76,6 +77,20 @@ def test_first_layer_rank_obstruction_branch():
     # with a 3 (mod 4) divisor the 7 (mod 8) condition decides
     assert first_layer_rank(3 * 5 * 13 * 11) == 2  # no 7 mod 8: t1-2
     assert first_layer_rank(7 * 5 * 13 * 3) == 2  # 7 present: t1 = 5, rank 2
+
+
+def test_quartic_obstruction_is_what_the_rank_formula_reads():
+    assert quartic_obstruction(17 * 5 * 13)
+    assert not quartic_obstruction(113 * 5 * 13)
+    # a prime = 3 (mod 4) leaves the test unread, so no obstruction
+    assert not quartic_obstruction(17 * 3)
+    assert not quartic_obstruction(17 * 7 * 5)
+    for fs in squarefree_range(3, 20000, 2):
+        if all(p % 4 == 1 for p in fs.primes):
+            expected = ramified_place_count(fs) - 1 - first_layer_rank(fs)
+            assert quartic_obstruction(fs) == bool(expected), fs.value
+        else:
+            assert not quartic_obstruction(fs), fs.value
 
 
 def test_biquad_number_arithmetic():

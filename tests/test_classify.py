@@ -13,7 +13,7 @@ from twoclass.arith import (
     squarefree_range,
     two_power_residue_test,
 )
-from twoclass.biquad import first_layer_rank
+from twoclass.biquad import first_layer_rank, quartic_obstruction
 from twoclass.classify import (
     _CRITERIA,
     _PPQQ_CONDITIONS,
@@ -524,7 +524,7 @@ def test_verify_reads_summaries_and_takes_a_report(monkeypatch):
     assert verify_against_oracle(report) == v
 
 
-def test_report_carries_the_factorization_it_was_given(monkeypatch):
+def test_report_carries_the_factorization_it_was_given(monkeypatch, empty_templates):
     # predict builds no second validated factorization and no starred
     # prime, and the oracle replay reuses the report's factorization
     fs = next(squarefree_range(1365, 1366))
@@ -537,7 +537,10 @@ def test_report_carries_the_factorization_it_was_given(monkeypatch):
 
     monkeypatch.setattr("twoclass.arith.FactoredSquarefree.__new__", boom)
     monkeypatch.setattr("twoclass.genus.starred_prime", boom)
+    # the patched call assembles the report again rather than reading it
+    empty_templates.clear()
     assert predict(fs) == report
+    assert len(empty_templates) == 1
     assert verify_against_oracle(report).ok
 
 
@@ -566,7 +569,7 @@ def _uncached(fs):
 
 def _signature(fs):
     residues = tuple(sorted(p % 8 for p in fs.primes))
-    obstructed = any(p % 8 == 1 and two_power_residue_test(p) for p in fs.primes)
+    obstructed = quartic_obstruction(fs)
     match = None
     if residues == (3, 5, 5, 7):
         match = structure_condition_ppqq(fs)
@@ -647,7 +650,10 @@ def test_one_assembly_per_signature(monkeypatch, empty_templates):
         monkeypatch.setattr(classify, name, counted(name, getattr(classify, name)))
     signatures = {_signature(r.report.factored) for r in sweep(3, 250000)}
     assert len(empty_templates) == len(signatures)
-    assert calls == {"genus_rank": 2 * len(signatures), "first_layer_rank": len(signatures)}
+    assert calls == {
+        "genus_rank": 2 * len(signatures),
+        "first_layer_rank": len(signatures),
+    }
     list(sweep(3, 250000))
     assert len(empty_templates) == len(signatures)
     assert calls["first_layer_rank"] == len(signatures)

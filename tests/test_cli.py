@@ -88,6 +88,7 @@ def test_enumerate_sieves_only_the_window(monkeypatch):
     # entries; the one prime of a d beyond it is tested once, as the sieve
     # yields d, and the field's layers read it from there
     monkeypatch.setattr(arith, "_spf", [])
+    monkeypatch.setattr(classify, "_TEMPLATES", {})
     arith._is_prime_beyond_sieve.cache_clear()
     argv = ["enumerate", "--csv", "--min", "1000000", "--max", "1002000"]
     assert cli.run(argv, io.StringIO()) == 0

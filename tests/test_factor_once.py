@@ -6,6 +6,7 @@ import io
 import pytest
 
 import twoclass.arith as arith
+import twoclass.classify as classify
 import twoclass.cli as cli
 import twoclass.forms as forms
 import twoclass.genus as genus
@@ -14,6 +15,8 @@ import twoclass.redei as redei
 
 @pytest.fixture
 def factorize_calls(monkeypatch):
+    # an empty signature memo, so that predict assembles every report again
+    monkeypatch.setattr(classify, "_TEMPLATES", {})
     calls = []
     real = arith.factorize
 
