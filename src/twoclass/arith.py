@@ -12,19 +12,20 @@ largest prime first, so that the least prime of each composite is written
 last.  Primality reads that sieve where it reaches and runs Miller-Rabin
 beyond it, with witness sets that are proven exact on their range:
 (2, 7, 61) below 4759123141 (Jaeschke, Math. Comp. 61, 1993) and the
-first twelve primes below 2**64 (Sorenson-Webster); the last 1024 answers
-beyond the sieve are memoised.  Sweeps factor their window with a
-segmented sieve (`squarefree_range`): only the primes up to the square root
-of the window's end are tabulated, and each block of the window is sieved
-by them in turn.  The window may be an arithmetic progression, so a sweep
-over odd d never factors, nor tests the primality of, an even one.
+first twelve primes below 2**64 (Sorenson-Webster).  Sweeps factor their
+window with a segmented sieve (`squarefree_range`): only the primes up to
+the square root of the window's end are tabulated, and each block of the
+window is sieved by them in turn.  The window may be an arithmetic
+progression, so a sweep over odd d never factors an even one.  A prime is
+proved once: `squarefree_range` and `factor_squarefree` build their records
+unchecked, since each prime they list comes from a sieve or the trial
+divisors, or passed `is_prime` as it was found.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
 
@@ -66,7 +67,9 @@ def is_prime(n: int) -> bool:
     primes through 61 and strong-probable-prime tests to the witnesses
     (2, 7, 61) when n < 4759123141, which is exact there (Jaeschke, Math.
     Comp. 61, 1993), or to the first twelve primes, which is exact below
-    2**64 (Sorenson-Webster).  No answer is probabilistic.
+    2**64 (Sorenson-Webster).  No answer is probabilistic, and none is
+    memoised: the factorizations of this module test each prime once, as
+    they find it.
     """
     if n < 0:
         raise ValueError("primality is defined for nonnegative integers")
@@ -77,18 +80,6 @@ def is_prime(n: int) -> bool:
         return False
     if n < len(_spf):
         return _spf[n] == n
-    return _is_prime_beyond_sieve(n)
-
-
-# factor_squarefree tests a large prime twice (as factorize finds it, and
-# as FactoredSquarefree checks it) and the 2-power residue test checks its
-# prime again, so a short memo of recent answers spares repeating the test
-# on a prime beyond the sieve.
-@lru_cache(maxsize=1024)
-def _is_prime_beyond_sieve(n: int) -> bool:
-    """is_prime for 2 <= n < 2**64 without the sieve: trial division by the
-    primes through 61, then the strong-probable-prime test to every witness
-    of n's tier."""
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
@@ -261,12 +252,16 @@ class FactoredSquarefree(_FactoredSquarefreeFields):
 
 
 def factor_squarefree(n: int) -> FactoredSquarefree:
-    """Factor square-free n >= 1, rejecting inputs with a squared prime."""
+    """Factor square-free n >= 1, rejecting inputs with a squared prime.
+
+    factorize takes each prime from the sieve or the trial divisors, or
+    after is_prime, so the record is built without testing them again.
+    """
     fac = factorize(n)
     for p, e in fac:
         if e > 1:
             raise NotSquarefree(f"{p}**{e} divides {n}")
-    return FactoredSquarefree(n, tuple(p for p, _ in fac))
+    return FactoredSquarefree._trusted(n, tuple(p for p, _ in fac))
 
 
 def doubled(fs: FactoredSquarefree) -> FactoredSquarefree:
@@ -310,12 +305,11 @@ def squarefree_range(lo: int, hi: int, step: int = 1):
     by the primes p <= isqrt(hi - 1).  A block strikes the terms divisible
     by each p^2 and lists each p at the terms it divides; both are
     arithmetic progressions in the block, found by solving the linear
-    congruence.  What is left of a square-free d after its listed primes is
-    1 or a single prime above isqrt(hi - 1): two such primes would multiply
-    to more than hi - 1.  Every prime still passes FactoredSquarefree's
-    is_prime check, so step = 2 spares the primality tests of the other
-    parity; the smallest-prime-factor sieve is grown to isqrt(hi - 1)
-    first, so that the check reads it for the listed primes.
+    congruence.  The listed primes come from primes_upto, and what is left
+    of a square-free d after them has no prime factor up to isqrt(hi - 1)
+    and is below hi, so it is 1 or a prime: two such primes would multiply
+    to more than hi - 1.  Every prime is thus proved by the sieve, and the
+    records are built without testing any of them.
     """
     if step < 1:
         raise ValueError("squarefree_range needs step >= 1")
@@ -324,9 +318,7 @@ def squarefree_range(lo: int, hi: int, step: int = 1):
     count = len(range(lo, hi, step))
     if not count:
         return
-    root = math.isqrt(hi - 1)
-    spf_table(root)
-    primes = primes_upto(root)
+    primes = primes_upto(math.isqrt(hi - 1))
     for first in range(0, count, _BLOCK):
         n0 = lo + first * step
         size = min(_BLOCK, count - first)
@@ -348,7 +340,7 @@ def squarefree_range(lo: int, hi: int, step: int = 1):
                 rest = n // math.prod(ps)
                 if rest > 1:
                     ps.append(rest)
-                yield FactoredSquarefree(n, tuple(ps))
+                yield FactoredSquarefree._trusted(n, tuple(ps))
 
 
 # --- symbols --------------------------------------------------------------

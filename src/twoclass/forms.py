@@ -281,7 +281,7 @@ def _walk(
             hi = key
 
 
-def _prime_forms(D: int, s: int, seen=None) -> Iterator[tuple[int, int, int]]:
+def _prime_forms(D: int, s: int, seen: bytes) -> Iterator[tuple[int, int, int]]:
     """The generators of the closure, by ascending prime, each of norm at
     most s//2 + 1: the forms (p, b, (b^2 - D)/4p) of the primes p with
     (D/p) != -1 that do not divide the conductor f of D, and every primitive
@@ -293,11 +293,8 @@ def _prime_forms(D: int, s: int, seen=None) -> Iterator[tuple[int, int, int]]:
     stored a reduced form (-p, b, c), whose sign partner (p, b, -c) is the
     prime form of p or its inverse, since b = +-b_p (mod 2p).  The closure
     holds both cycles of each walk and is closed under inverses, so that
-    generator would add no class and no relation.  With no seen, every
-    generator is yielded.
+    generator would add no class and no relation.
     """
-    if seen is None:
-        seen = bytes(s + 1)
     if D % 16 in (0, 4):
         yield from _prime_power_forms(2, D, s)
     elif not seen[2]:
@@ -356,23 +353,18 @@ def _cycles(D: int) -> _Cycles:
       the prime form of p or of its inverse;
     * for p | f, those forms are themselves generators;
     * a negative a costs one factor of the sign class.
+
+    The principal cycle is walked first, which shows whether the sign class
+    is principal; then the group is closed under the generators, which read
+    seen as the walks set it.  The group is kept in mixed radix: entry
+    u + m*t of H<x> is H[u] x^t for m = #H, and the index in H of the first
+    power x^n in H gives the relation of x.  Each class of H<x> outside H
+    costs one composition of its form of least positive a with the
+    generator itself, and one walk, unless it is the sign partner (its
+    id ^ 1) of a class just found.
     """
     s = _check_discriminant(D)
     seen = bytearray(s + 1)  # the |a| of every form the walks store
-    return _cycles_from(D, s, _prime_forms(D, s, seen), seen)
-
-
-def _cycles_from(D: int, s: int, gens, seen: bytearray) -> _Cycles:
-    """Walk the principal cycle, which shows whether the sign class is
-    principal, then close the group under the classes of gens, which may
-    read seen as the walks set it.
-
-    The group is kept in mixed radix: entry u + m*t of H<x> is H[u] x^t
-    for m = #H, and the index in H of the first power x^n in H gives the
-    relation of x.  Each class of H<x> outside H costs one composition of
-    its form of least positive a with the generator itself, and one walk,
-    unless it is the sign partner (its id ^ 1) of a class just found.
-    """
     cycle_of: dict[int, int] = {}
     least: list[tuple[int, int, int]] = []
     low: list[tuple[int, int, int]] = []
@@ -417,7 +409,7 @@ def _cycles_from(D: int, s: int, gens, seen: bytearray) -> _Cycles:
     group = list(range(step))
     index = {c: u for u, c in enumerate(group)}
     relations = [[2]] * flip  # the sign class has order 2
-    for g in gens:
+    for g in _prime_forms(D, s, seen):
         p, b, _ = g
         x = cls(*(_reduce(*g, D, s) if 2 * p >= s or b <= 0 else g))
         coset, y, grown = group, x, []

@@ -14,6 +14,7 @@ import pytest
 import twoclass.arith as arith
 import twoclass.classify as classify
 import twoclass.cli as cli
+import twoclass.genus as genus
 from twoclass.arith import squarefree_range
 from twoclass.classify import OracleCheck, OracleComparison
 from twoclass.forms import class_group_summary
@@ -84,22 +85,35 @@ def test_enumerate_deterministic():
 
 
 def test_enumerate_sieves_only_the_window(monkeypatch):
-    # the sweep's sieve holds the primes up to sqrt(--max), not --max
-    # entries; the one prime of a d beyond it is tested once, as the sieve
-    # yields d, and the field's layers read it from there
+    # the sweep's sieve holds the primes up to sqrt(--max) and proves every
+    # prime of each d: no smallest-prime-factor table is grown, no record is
+    # checked again, and no prime of a d is tested as the sieve yields it
     monkeypatch.setattr(arith, "_spf", [])
     monkeypatch.setattr(classify, "_TEMPLATES", {})
-    arith._is_prime_beyond_sieve.cache_clear()
+    is_prime, tested = arith.is_prime, []
+
+    def counted(n):
+        tested.append(n)
+        return is_prime(n)
+
+    for module in (arith, classify, genus):
+        monkeypatch.setattr(module, "is_prime", counted)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the sieve already proved these primes")
+
+    monkeypatch.setattr(arith.FactoredSquarefree, "__new__", boom)
     argv = ["enumerate", "--csv", "--min", "1000000", "--max", "1002000"]
     assert cli.run(argv, io.StringIO()) == 0
-    assert len(arith._spf) <= 4096
-    tests = arith._is_prime_beyond_sieve.cache_info()
-    # one test at most per odd square-free d: the even d are never factored
+    assert arith._spf == []
+    # only the 2-power residue test of the first-layer rank tests a prime:
+    # each p = 1 (mod 8) of a d with no prime = 3 (mod 4), at most once
     odd = list(squarefree_range(1000001, 1002000, 2))
-    assert tests.misses <= len(odd)
-    # only the 2-power residue test of the first-layer rank checks a prime
-    # again, and only a prime = 1 (mod 8)
-    assert tests.hits <= sum(1 for fs in odd if fs.primes[-1] % 8 == 1)
+    assert len(tested) <= sum(
+        sum(p % 8 == 1 for p in fs.primes)
+        for fs in odd
+        if all(p % 4 == 1 for p in fs.primes)
+    )
 
 
 def test_cli_import_loads_no_process_pool():
@@ -498,6 +512,11 @@ GOLDEN_STDOUT = {
     # predictions only, with primes beyond the window sieve's 4096 entries
     ("enumerate", "--csv", "--min", "1000000", "--max", "1002000"): (
         "0f4713fb83bf1940fb7bd010ebbdddcc9cfe1c5a1af98fd538a00b08e8b15ae3"
+    ),
+    # just below 10**12: the cofactors need the twelve-witness tier, and the
+    # listed primes lie beyond the 4096 entries of the smallest sieve
+    ("enumerate", "--csv", "--min", "999999990001", "--max", "1000000000000"): (
+        "cdd1cc5080e13b35a824b1c0d46e670792666aecf00d8f10360b76cdca1f4e62"
     ),
     # a non-fundamental D (= 4 mod 16): the conductor's prime-power forms
     ("classgroup", "400000020"): (

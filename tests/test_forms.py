@@ -574,7 +574,7 @@ def _conductor_primes(D):
 def test_prime_forms_are_the_non_inert_primes_up_to_the_bound():
     for D in (5, 8, 12, 1365, 10920, 400000001):
         s = math.isqrt(D)
-        gens = list(oracle._prime_forms(D, s))
+        gens = list(oracle._prime_forms(D, s, bytes(s + 1)))
         assert [f[0] for f in gens] == [
             p
             for p in range(2, s // 2 + 2)
@@ -589,7 +589,7 @@ def test_prime_forms_are_the_non_inert_primes_up_to_the_bound():
     for D in (45, 80, 400000020, *DEEP_CONDUCTORS):
         s = math.isqrt(D)
         bound = s // 2 + 1
-        gens = list(oracle._prime_forms(D, s))
+        gens = list(oracle._prime_forms(D, s, bytes(s + 1)))
         on = _conductor_primes(D)
         assert on and not is_fundamental(D), D
         for a, b, c in gens:

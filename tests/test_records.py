@@ -9,7 +9,13 @@ import copy
 
 import pytest
 
-from twoclass.arith import FactoredSquarefree, NotSquarefree, doubled, factor_squarefree
+from twoclass.arith import (
+    FactoredSquarefree,
+    NotSquarefree,
+    doubled,
+    factor_squarefree,
+    squarefree_range,
+)
 from twoclass.biquad import EvenRadicand, hasse_unit_index
 from twoclass.classify import SymbolSpec, predict, shape_of, verify_against_oracle
 from twoclass.forms import Abelian2Group
@@ -83,6 +89,19 @@ def test_trusted_factorization_equals_the_validated_one():
     fs = doubled(factor_squarefree(1365))
     assert fs == FactoredSquarefree(2730, (2, 3, 5, 7, 13))
     assert hash(fs) == hash(FactoredSquarefree(2730, (2, 3, 5, 7, 13)))
+    # the sweeps and factor_squarefree build their records unchecked too:
+    # windows inside the sieve, near 10**6, across the bound of the
+    # (2, 7, 61) witness tier and below 10**12, a Pollard rho product and
+    # a product past 2**64 that trial division factors
+    records = []
+    for lo in (2, 10**6, 4759123141 - 1000, 10**12 - 2000):
+        for step in (1, 2):
+            records += squarefree_range(lo, lo + 2000, step)
+    records.append(factor_squarefree(1000003 * 1000033))
+    records.append(factor_squarefree(100003 * 100019 * 100043 * 100049))
+    for fs in records:
+        checked = FactoredSquarefree(fs.value, fs.primes)
+        assert fs == checked and hash(fs) == hash(checked), fs
 
 
 def test_a_group_is_not_its_factor_tuple():
