@@ -67,9 +67,9 @@ def is_prime(n: int) -> bool:
     primes through 61 and strong-probable-prime tests to the witnesses
     (2, 7, 61) when n < 4759123141, which is exact there (Jaeschke, Math.
     Comp. 61, 1993), or to the first twelve primes, which is exact below
-    2**64 (Sorenson-Webster).  No answer is probabilistic, and none is
-    memoised: the factorizations of this module test each prime once, as
-    they find it.
+    2**64 (Sorenson-Webster).  No answer is probabilistic.  A prime that a
+    factorization of this module finds is tested here at most once, as it
+    is found; the record built from it is not checked again.
     """
     if n < 0:
         raise ValueError("primality is defined for nonnegative integers")
