@@ -420,6 +420,9 @@ def two_power_residue_test(p: int) -> bool:
         raise ValueError(f"{p} is not prime")
     if p % 8 != 1:
         raise WrongResidueClass(f"{p} != 1 (mod 8)")
-    lhs = pow(2, (p - 1) // 4, p)
-    rhs = p - 1 if ((p - 1) // 8) % 2 else 1
-    return lhs != rhs
+    return _two_power_obstructs(p)
+
+
+def _two_power_obstructs(p: int) -> bool:
+    """two_power_residue_test unguarded, for a proved prime p = 1 (mod 8)."""
+    return pow(2, (p - 1) // 4, p) != (p - 1 if (p - 1) // 8 % 2 else 1)

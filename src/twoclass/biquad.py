@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from .arith import (
     FactoredSquarefree,
+    _two_power_obstructs,
     as_factored,
     doubled,
     sqrt_mod_prime,
-    two_power_residue_test,
 )
 from .forms import Abelian2Group
 from .quadfield import fundamental_unit
@@ -76,11 +76,12 @@ def first_layer_rank(d) -> int:
 
 def quartic_obstruction(d) -> bool:
     """The obstruction of first_layer_rank: no prime divisor = 3 (mod 4), and
-    some p = 1 (mod 8) with 2^((p-1)/4) != (-1)^((p-1)/8) mod p."""
+    some p = 1 (mod 8) with 2^((p-1)/4) != (-1)^((p-1)/8) mod p.  The
+    record's primes are proved, so the test runs unguarded."""
     fs = as_factored(d)
     if any(p % 4 == 3 for p in fs.primes):
         return False
-    return any(p % 8 == 1 and two_power_residue_test(p) for p in fs.primes)
+    return any(p % 8 == 1 and _two_power_obstructs(p) for p in fs.primes)
 
 
 # --- the Hasse unit index from integer parity vectors ----------------------

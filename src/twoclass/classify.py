@@ -770,8 +770,7 @@ class FieldResult(NamedTuple):
 def sweep(lo, hi, verify=False, oracle_limit=DEFAULT_ORACLE_LIMIT, shape=None):
     """A FieldResult for each odd square-free d in [lo, hi), in order; a shape
     such as ("p", "p", "q", "q") skips every other shape before the oracle."""
-    # lazily: each field is predicted while the primality answers for its
-    # primes are fresh in arith's memo, and no sweep holds all its fields
+    # lazily, so that no sweep holds all its fields
     for fs in squarefree_range(max(lo, 3) | 1, hi, 2):
         report = predict(fs)
         if shape is not None and shape != (report.shape and report.shape.pattern):

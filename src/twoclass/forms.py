@@ -184,7 +184,9 @@ def compose(f: IndefiniteForm, g: IndefiniteForm) -> IndefiniteForm:
 class _Cycles(NamedTuple):
     """The rho-cycles of the primitive reduced forms of one discriminant.
 
-    Cycle 0 is the principal cycle and cycle flip the sign cycle.  The
+    Cycle 0 is the principal cycle and cycle flip the sign cycle.  A cycle
+    has one representative, its least form, and every composition takes it:
+    the cycle of a composite does not depend on the forms composed.  The
     reduced form (a, b, c) with a < 0 is keyed by the int a*(s + 1) + b, in
     the order of the pairs (a, b) since 0 < b <= s, and divmod(key, s + 1)
     gives (a, b) back.  It lies on cycle_of[key], and its sign partner
@@ -199,8 +201,7 @@ class _Cycles(NamedTuple):
     s: int
     flip: int
     cycle_of: dict  # key of (a, b), a < 0 -> cycle id of (a, b, (b^2 - D)/4a)
-    least: list  # cycle id -> least form of the cycle
-    low: list  # cycle id -> a form of the cycle with least positive a
+    least: list  # cycle id -> least form of the cycle, its representative
     # a presentation of the narrow group: with radices n_0, n_1, ... of the
     # closure (n_0 = 2 for the sign class when flip), row j says that
     # n_j e_j - sum(d_i e_i) is a relation, where d_i are the digits of
@@ -215,7 +216,7 @@ class _Cycles(NamedTuple):
         return self.cycle_of[b - a * m] ^ self.flip
 
     def mul(self, i: int, j: int) -> int:
-        return self.id_of(_compose_raw(self.low[i], self.low[j], self.D, self.s))
+        return self.id_of(_compose_raw(self.least[i], self.least[j], self.D, self.s))
 
 
 def _power(mul, x: int, n: int) -> int:
@@ -241,8 +242,8 @@ def _walk(
     |c'| = |a| + q(b - r)/2.  It stops back at its start, or half way, at the
     start's sign partner, when sigma C = C.
 
-    Returns the least and the greatest key stored for cid, then for pid, and
-    whether the walk stopped half way.
+    Returns the least key stored for cid, then for pid, and whether the walk
+    stopped half way.
     """
     a, b, c = f
     if a > 0:
@@ -250,35 +251,30 @@ def _walk(
     A = A0 = -a
     m = s + 1
     b0, C = b, c
-    lo = hi = a * m + b
+    lo, plo = a * m + b, 0  # plo starts above every key
     cycle_of[lo] = cid
     seen[A] = 1
-    plo, phi = 0, -D * m  # above and below every key
     while True:
         q, e = divmod(s + b, 2 * C)
         r = s - e
         A, b, C = C, r, A + (b - r) // 2 * q  # the form (A, b, -C)
         if b == b0 and A == A0:
-            return lo, hi, plo, phi, True
+            return lo, plo, True
         key = b - A * m
         cycle_of[key] = pid
         seen[A] = 1
         if key < plo:
             plo = key
-        if key > phi:
-            phi = key
         q, e = divmod(s + b, 2 * C)
         r = s - e
         A, b, C = C, r, A + (b - r) // 2 * q  # the form (-A, b, C)
         if b == b0 and A == A0:
-            return lo, hi, plo, phi, False
+            return lo, plo, False
         key = b - A * m
         cycle_of[key] = cid
         seen[A] = 1
         if key < lo:
             lo = key
-        elif key > hi:
-            hi = key
 
 
 def _prime_forms(D: int, s: int, seen: bytes) -> Iterator[tuple[int, int, int]]:
@@ -359,31 +355,26 @@ def _cycles(D: int) -> _Cycles:
     seen as the walks set it.  The group is kept in mixed radix: entry
     u + m*t of H<x> is H[u] x^t for m = #H, and the index in H of the first
     power x^n in H gives the relation of x.  Each class of H<x> outside H
-    costs one composition of its form of least positive a with the
-    generator itself, and one walk, unless it is the sign partner (its
-    id ^ 1) of a class just found.
+    costs one composition of its least form with the generator, and one
+    walk, unless it is the sign partner (its id ^ 1) of a class just found.
     """
     s = _check_discriminant(D)
     seen = bytearray(s + 1)  # the |a| of every form the walks store
     cycle_of: dict[int, int] = {}
     least: list[tuple[int, int, int]] = []
-    low: list[tuple[int, int, int]] = []
     m = s + 1
 
-    def number(least_key, low_key):
-        # the least form of a cycle, and the sign partner of its low_key
-        a, b = divmod(least_key, m)
+    def number(key):
+        a, b = divmod(key, m)
         least.append((a, b, (b * b - D) // (4 * a)))
-        a, b = divmod(low_key, m)
-        low.append((-a, b, (D - b * b) // (4 * a)))
 
     def walk(f, cid, pid):
-        lo, hi, plo, phi, half = _walk(f, D, s, cycle_of, seen, cid, pid)
+        lo, plo, half = _walk(f, D, s, cycle_of, seen, cid, pid)
         if half:
-            number(min(lo, plo), max(hi, phi))
+            number(min(lo, plo))
         else:
-            number(lo, phi)
-            number(plo, hi)
+            number(lo)
+            number(plo)
         return half
 
     def cls(a, b, c):
@@ -416,11 +407,11 @@ def _cycles(D: int) -> _Cycles:
         while y not in index:
             # the coset H x^k is (H x^(k-1)) x; group[0] = 1 puts x^k first
             heads = [y] + [
-                cls(*_compose_raw(low[h], g, D, s)) for h in coset[step::step]
+                cls(*_compose_raw(least[h], g, D, s)) for h in coset[step::step]
             ]
             coset = [h ^ t for h in heads for t in range(step)]
             grown += coset
-            y = cls(*_compose_raw(low[y], g, D, s))
+            y = cls(*_compose_raw(least[y], g, D, s))
         if grown:
             # the radices are the diagonal of the relations
             u, row = index[y], []
@@ -430,7 +421,7 @@ def _cycles(D: int) -> _Cycles:
             relations.append(row + [len(grown) // len(group) + 1])
             index.update(zip(grown, range(len(group), len(group) + len(grown))))
             group += grown
-    return _Cycles(D, s, flip, cycle_of, least, low, relations)
+    return _Cycles(D, s, flip, cycle_of, least, relations)
 
 
 def _invariant_factors(rows) -> tuple[int, ...]:

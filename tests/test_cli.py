@@ -86,9 +86,29 @@ def test_enumerate_deterministic():
 
 def test_enumerate_sieves_only_the_window(monkeypatch):
     # the sweep's sieve holds the primes up to sqrt(--max) and proves every
-    # prime of each d: no smallest-prime-factor table is grown, no record is
-    # checked again, and no prime of a d is tested as the sieve yields it
+    # prime of each d: no smallest-prime-factor table is grown and no record
+    # is checked again (test_sweeps_test_no_prime_again counts the tests)
     monkeypatch.setattr(arith, "_spf", [])
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the sieve already proved these primes")
+
+    monkeypatch.setattr(arith.FactoredSquarefree, "__new__", boom)
+    argv = ["enumerate", "--csv", "--min", "1000000", "--max", "1002000"]
+    assert cli.run(argv, io.StringIO()) == 0
+    assert arith._spf == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--csv", "--min", "1000000", "--max", "1002000"],
+        ["verify", "--max", "4000"],
+    ],
+)
+def test_sweeps_test_no_prime_again(monkeypatch, argv):
+    # every prime of each d comes proved from the sieve, and the 2-power
+    # residue test of the first-layer rank trusts the record it is given
     monkeypatch.setattr(classify, "_TEMPLATES", {})
     is_prime, tested = arith.is_prime, []
 
@@ -98,22 +118,8 @@ def test_enumerate_sieves_only_the_window(monkeypatch):
 
     for module in (arith, classify, genus):
         monkeypatch.setattr(module, "is_prime", counted)
-
-    def boom(*args, **kwargs):
-        raise AssertionError("the sieve already proved these primes")
-
-    monkeypatch.setattr(arith.FactoredSquarefree, "__new__", boom)
-    argv = ["enumerate", "--csv", "--min", "1000000", "--max", "1002000"]
     assert cli.run(argv, io.StringIO()) == 0
-    assert arith._spf == []
-    # only the 2-power residue test of the first-layer rank tests a prime:
-    # each p = 1 (mod 8) of a d with no prime = 3 (mod 4), at most once
-    odd = list(squarefree_range(1000001, 1002000, 2))
-    assert len(tested) <= sum(
-        sum(p % 8 == 1 for p in fs.primes)
-        for fs in odd
-        if all(p % 4 == 1 for p in fs.primes)
-    )
+    assert tested == []
 
 
 def test_cli_import_loads_no_process_pool():
