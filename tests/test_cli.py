@@ -84,31 +84,8 @@ def test_enumerate_deterministic():
     assert text1 == text2
 
 
-def test_enumerate_sieves_only_the_window(monkeypatch):
-    # the sweep's sieve holds the primes up to sqrt(--max) and proves every
-    # prime of each d: no smallest-prime-factor table is grown and no record
-    # is checked again (test_sweeps_test_no_prime_again counts the tests)
-    monkeypatch.setattr(arith, "_spf", [])
-
-    def boom(*args, **kwargs):
-        raise AssertionError("the sieve already proved these primes")
-
-    monkeypatch.setattr(arith.FactoredSquarefree, "__new__", boom)
-    argv = ["enumerate", "--csv", "--min", "1000000", "--max", "1002000"]
-    assert cli.run(argv, io.StringIO()) == 0
-    assert arith._spf == []
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["enumerate", "--csv", "--min", "1000000", "--max", "1002000"],
-        ["verify", "--max", "4000"],
-    ],
-)
-def test_sweeps_test_no_prime_again(monkeypatch, argv):
-    # every prime of each d comes proved from the sieve, and the 2-power
-    # residue test of the first-layer rank trusts the record it is given
+def count_prime_tests(monkeypatch):
+    # clear the report memo so every signature is assembled again
     monkeypatch.setattr(classify, "_TEMPLATES", {})
     is_prime, tested = arith.is_prime, []
 
@@ -118,7 +95,31 @@ def test_sweeps_test_no_prime_again(monkeypatch, argv):
 
     for module in (arith, classify, genus):
         monkeypatch.setattr(module, "is_prime", counted)
+    return tested
+
+
+def test_enumerate_sieves_only_the_window(monkeypatch):
+    # the sweep's sieve holds the primes up to sqrt(--max) and proves every
+    # prime of each d: no smallest-prime-factor table is grown, no record is
+    # checked again, and the 2-power residue test of the first-layer rank
+    # trusts the record it is given, so no prime is tested
+    monkeypatch.setattr(arith, "_spf", [])
+    tested = count_prime_tests(monkeypatch)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the sieve already proved these primes")
+
+    monkeypatch.setattr(arith.FactoredSquarefree, "__new__", boom)
+    argv = ["enumerate", "--csv", "--min", "1000000", "--max", "1002000"]
     assert cli.run(argv, io.StringIO()) == 0
+    assert arith._spf == []
+    assert tested == []
+
+
+def test_verify_tests_no_prime_again(monkeypatch):
+    # the oracle sweep takes its records from the same sieve
+    tested = count_prime_tests(monkeypatch)
+    assert cli.run(["verify", "--max", "4000"], io.StringIO()) == 0
     assert tested == []
 
 

@@ -449,8 +449,20 @@ def _assert_builders_agree(D):
     assert all(ref.reps[i] == new.least[j] for i, j in pairs), D
     assert (ref.identity, 0) in pairs, D
     assert (ref.sign, new.flip) in pairs, D
-    for i, j in pairs:
-        assert new.id_of(new.least[j]) == j, (D, j)
+    if D < 2000:
+        # mul composes each cycle's least form; any other form of either
+        # cycle lands on the same cycle, as Gauss composition is defined on
+        # classes
+        members = {}
+        for f in primitive:
+            members.setdefault(new.id_of(f), []).append(f)
+        for i, fs in members.items():
+            for j, gs in members.items():
+                want = new.mul(i, j)
+                for f in fs:
+                    for g in gs:
+                        got = new.id_of(oracle._compose_raw(f, g, D, new.s))
+                        assert got == want, (D, f, g)
     summ = class_group_summary(D)
     assert summ.h_narrow == len(ref.reps), D
     assert (summ.h_narrow == summ.h_ordinary) == (ref.sign == ref.identity), D
@@ -505,23 +517,6 @@ def test_builders_agree_on_every_discriminant_below_10000():
             cycles.id_of((-a, b, -c)) == cycles.mul(cid, cycles.flip)
             for cid, (a, b, c) in enumerate(cycles.least)
         ), D
-
-
-def test_composition_does_not_depend_on_the_representative():
-    # mul composes each cycle's least form; any other form of either cycle
-    # lands on the same cycle, as Gauss composition is defined on classes
-    for D in valid_discriminants(2000):
-        cycles = oracle._cycles(D)
-        members = {}
-        for f in _enumerated_cycles(D).cycle_of:
-            members.setdefault(cycles.id_of(f), []).append(f)
-        for i, fs in members.items():
-            for j, gs in members.items():
-                want = cycles.mul(i, j)
-                for f in fs:
-                    for g in gs:
-                        got = cycles.id_of(oracle._compose_raw(f, g, D, cycles.s))
-                        assert got == want, (D, f, g)
 
 
 # conductors with high prime powers and with many primes
