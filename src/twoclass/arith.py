@@ -19,7 +19,8 @@ window is sieved by them in turn.  The window may be an arithmetic
 progression, so a sweep over odd d never factors an even one.  A prime is
 proved once: `squarefree_range` and `factor_squarefree` build their records
 unchecked, since each prime they list comes from a sieve or the trial
-divisors, or passed `is_prime` as it was found.
+divisors (or is the cofactor those leave below the square of the next), or
+passed `is_prime` as it was found.
 """
 
 from __future__ import annotations
@@ -173,8 +174,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Sorted prime factorization [(p, e), ...] of n >= 1.
 
     The sieve answers where it reaches.  Beyond it, n < 2**64 is divided by
-    the primes up to 2**10 only, and Pollard rho splits the rest into parts
-    that is_prime settles.  A larger n is divided by every odd number up to
+    the primes up to 2**10 only: a cofactor left when they pass its square
+    root is prime, and Pollard rho splits a larger one into parts that
+    is_prime settles.  A larger n is divided by every odd number up to
     10**6 first, since is_prime settles no part of 2**64 or more: so a
     product of four primes near 10**5 is still factored.
     """
@@ -189,7 +191,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
         return sorted(out.items())
     if n < _MR_LIMIT:
         for p in _TRIAL_PRIMES:
-            if p * p > n:
+            if p * p > n:  # no factor up to its square root: n is 1 or prime
+                if n > 1:
+                    out[n], n = 1, 1
                 break
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
@@ -254,8 +258,9 @@ class FactoredSquarefree(_FactoredSquarefreeFields):
 def factor_squarefree(n: int) -> FactoredSquarefree:
     """Factor square-free n >= 1, rejecting inputs with a squared prime.
 
-    factorize takes each prime from the sieve or the trial divisors, or
-    after is_prime, so the record is built without testing them again.
+    factorize takes each prime from the sieve or the trial divisors, as the
+    cofactor they leave with no factor up to its square root, or after
+    is_prime, so the record is built without testing them again.
     """
     fac = factorize(n)
     for p, e in fac:

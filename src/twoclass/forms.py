@@ -122,7 +122,7 @@ def reduced_forms(D: int) -> list[IndefiniteForm]:
         E, r = divmod(D, g * g)
         if r == 0 and E % 4 in (0, 1):
             # each key of (a, b) stands for (a, b, c) and its sign partner
-            cycles = _cycles(E)
+            cycles = _Cycles(E)
             for key in cycles.cycle_of:
                 a, b = divmod(key, cycles.s + 1)
                 c = (b * b - E) // (4 * a)
@@ -179,44 +179,6 @@ def compose(f: IndefiniteForm, g: IndefiniteForm) -> IndefiniteForm:
 
 
 # --- the one construction ---------------------------------------------------
-
-
-class _Cycles(NamedTuple):
-    """The rho-cycles of the primitive reduced forms of one discriminant.
-
-    Cycle 0 is the principal cycle and cycle flip the sign cycle.  A cycle
-    has one representative, its least form, and every composition takes it:
-    the cycle of a composite does not depend on the forms composed.  The
-    reduced form (a, b, c) with a < 0 is keyed by the int a*(s + 1) + b, in
-    the order of the pairs (a, b) since 0 < b <= s, and divmod(key, s + 1)
-    gives (a, b) back.  It lies on cycle_of[key], and its sign partner
-    (-a, b, -c) on cycle_of[key] ^ flip: when the sign class is not
-    principal (flip = 1), the cycles C and sigma C are 2k and 2k + 1.
-    (a, b, c) composed with the sign form (-1, b, -ac), united with it, is
-    (-a, b, -c) (Cohen, GTM 138, 5.2), reduced as (a, b, c) is, since
-    reducedness reads only |a|.
-    """
-
-    D: int
-    s: int
-    flip: int
-    cycle_of: dict  # key of (a, b), a < 0 -> cycle id of (a, b, (b^2 - D)/4a)
-    least: list  # cycle id -> least form of the cycle, its representative
-    # a presentation of the narrow group: with radices n_0, n_1, ... of the
-    # closure (n_0 = 2 for the sign class when flip), row j says that
-    # n_j e_j - sum(d_i e_i) is a relation, where d_i are the digits of
-    # x_j^(n_j) in the group before x_j; lower triangular, row j of length j+1
-    relations: list
-
-    def id_of(self, f) -> int:
-        a, b, _ = f
-        m = self.s + 1
-        if a < 0:
-            return self.cycle_of[a * m + b]
-        return self.cycle_of[b - a * m] ^ self.flip
-
-    def mul(self, i: int, j: int) -> int:
-        return self.id_of(_compose_raw(self.least[i], self.least[j], self.D, self.s))
 
 
 def _power(mul, x: int, n: int) -> int:
@@ -333,9 +295,21 @@ def _prime_form(q: int, b: int, D: int, s: int) -> tuple[int, int, int]:
     return q, b, (b * b - D) // (4 * q)
 
 
-def _cycles(D: int) -> _Cycles:
+class _Cycles:
     """The rho-cycles of the primitive reduced forms of D, with a
     presentation of the narrow group.
+
+    Cycle 0 is the principal cycle and cycle flip the sign cycle.  A cycle
+    has one representative, its least form, and every composition takes it:
+    the cycle of a composite does not depend on the forms composed.  The
+    reduced form (a, b, c) with a < 0 is keyed by the int a*(s + 1) + b, in
+    the order of the pairs (a, b) since 0 < b <= s, and divmod(key, s + 1)
+    gives (a, b) back.  It lies on cycle_of[key], and its sign partner
+    (-a, b, -c) on cycle_of[key] ^ flip: when the sign class is not
+    principal (flip = 1), the cycles C and sigma C are 2k and 2k + 1.
+    (a, b, c) composed with the sign form (-1, b, -ac), united with it, is
+    (-a, b, -c) (Cohen, GTM 138, 5.2), reduced as (a, b, c) is, since
+    reducedness reads only |a|.
 
     The classes are the closure of the principal and sign cycles under the
     generators of _prime_forms (Cohen, GTM 138, 5.2 and 5.4; Buchmann and
@@ -358,70 +332,76 @@ def _cycles(D: int) -> _Cycles:
     costs one composition of its least form with the generator, and one
     walk, unless it is the sign partner (its id ^ 1) of a class just found.
     """
-    s = _check_discriminant(D)
-    seen = bytearray(s + 1)  # the |a| of every form the walks store
-    cycle_of: dict[int, int] = {}
-    least: list[tuple[int, int, int]] = []
-    m = s + 1
 
-    def number(key):
-        a, b = divmod(key, m)
-        least.append((a, b, (b * b - D) // (4 * a)))
+    def __init__(self, D: int):
+        self.D = D
+        self.s = s = _check_discriminant(D)
+        self._seen = bytearray(s + 1)  # the |a| of every form the walks store
+        self.cycle_of = {}  # key of (a, b), a < 0 -> cycle id of (a, b, (b^2 - D)/4a)
+        self.least = []  # cycle id -> least form of the cycle, its representative
+        b0 = D & 1
+        c0 = (b0 - D) // 4  # b0 * b0 == b0
+        self.flip = flip = 0 if self._number(_reduce(1, b0, c0, D, s), 0, 1) else 1
+        if not flip:  # sigma C = C: the ids 1 of the walk were provisional
+            for key in self.cycle_of:
+                self.cycle_of[key] = 0
+        step = 1 + flip  # group[2k + 1] is group[2k] times the sign class
+        group = list(range(step))
+        index = {c: u for u, c in enumerate(group)}
+        # a presentation of the narrow group: with radices n_0, n_1, ... of the
+        # closure (n_0 = 2 for the sign class when flip), row j says that
+        # n_j e_j - sum(d_i e_i) is a relation, where d_i are the digits of
+        # x_j^(n_j) in the group before x_j; lower triangular, row j of length j+1
+        self.relations = relations = [[2]] * flip  # the sign class has order 2
+        id_of, least = self.id_of, self.least
+        for g in _prime_forms(D, s, self._seen):
+            p, b, _ = g
+            x = id_of(_reduce(*g, D, s) if 2 * p >= s or b <= 0 else g)
+            coset, y, grown = group, x, []
+            while y not in index:
+                # the coset H x^k is (H x^(k-1)) x; group[0] = 1 puts x^k first
+                heads = [y] + [
+                    id_of(_compose_raw(least[h], g, D, s)) for h in coset[step::step]
+                ]
+                coset = [h ^ t for h in heads for t in range(step)]
+                grown += coset
+                y = id_of(_compose_raw(least[y], g, D, s))
+            if grown:
+                # the radices are the diagonal of the relations
+                u, row = index[y], []
+                for r in relations:
+                    u, digit = divmod(u, r[-1])
+                    row.append(-digit)
+                relations.append(row + [len(grown) // len(group) + 1])
+                index.update(zip(grown, range(len(group), len(group) + len(grown))))
+                group += grown
 
-    def walk(f, cid, pid):
-        lo, plo, half = _walk(f, D, s, cycle_of, seen, cid, pid)
-        if half:
-            number(min(lo, plo))
-        else:
-            number(lo)
-            number(plo)
+    def _number(self, f, cid: int, pid: int) -> bool:
+        """Walk the cycle of f as cid and its sign partner as pid, and record
+        their least forms; whether the walk stopped half way, when the two
+        cycles are one."""
+        lo, plo, half = _walk(f, self.D, self.s, self.cycle_of, self._seen, cid, pid)
+        for key in (min(lo, plo),) if half else (lo, plo):
+            a, b = divmod(key, self.s + 1)
+            self.least.append((a, b, (b * b - self.D) // (4 * a)))
         return half
 
-    def cls(a, b, c):
-        if a < 0:
-            cid = cycle_of.get(a * m + b)
-            if cid is not None:
-                return cid
-        else:
-            cid = cycle_of.get(b - a * m)
-            if cid is not None:
-                return cid ^ flip
-        cid = len(least)
-        walk((a, b, c), cid, cid ^ flip)
+    def id_of(self, f) -> int:
+        """The cycle id of the reduced form f of D; a cycle not met yet is
+        walked and numbered.  f must be reduced: a walk that starts from an
+        unreduced form never comes back to its start."""
+        a, b, _ = f
+        m = self.s + 1
+        key, flip = (a * m + b, 0) if a < 0 else (b - a * m, self.flip)
+        cid = self.cycle_of.get(key)
+        if cid is not None:
+            return cid ^ flip
+        cid = len(self.least)
+        self._number(f, cid, cid ^ self.flip)
         return cid
 
-    b0 = D & 1
-    c0 = (b0 - D) // 4  # b0 * b0 == b0
-    flip = 0 if walk(_reduce(1, b0, c0, D, s), 0, 1) else 1
-    if not flip:  # sigma C = C: the ids 1 of the walk were provisional
-        for key in cycle_of:
-            cycle_of[key] = 0
-    step = 1 + flip  # group[2k + 1] is group[2k] times the sign class
-    group = list(range(step))
-    index = {c: u for u, c in enumerate(group)}
-    relations = [[2]] * flip  # the sign class has order 2
-    for g in _prime_forms(D, s, seen):
-        p, b, _ = g
-        x = cls(*(_reduce(*g, D, s) if 2 * p >= s or b <= 0 else g))
-        coset, y, grown = group, x, []
-        while y not in index:
-            # the coset H x^k is (H x^(k-1)) x; group[0] = 1 puts x^k first
-            heads = [y] + [
-                cls(*_compose_raw(least[h], g, D, s)) for h in coset[step::step]
-            ]
-            coset = [h ^ t for h in heads for t in range(step)]
-            grown += coset
-            y = cls(*_compose_raw(least[y], g, D, s))
-        if grown:
-            # the radices are the diagonal of the relations
-            u, row = index[y], []
-            for r in relations:
-                u, digit = divmod(u, r[-1])
-                row.append(-digit)
-            relations.append(row + [len(grown) // len(group) + 1])
-            index.update(zip(grown, range(len(group), len(group) + len(grown))))
-            group += grown
-    return _Cycles(D, s, flip, cycle_of, least, relations)
+    def mul(self, i: int, j: int) -> int:
+        return self.id_of(_compose_raw(self.least[i], self.least[j], self.D, self.s))
 
 
 def _invariant_factors(rows) -> tuple[int, ...]:
@@ -585,7 +565,7 @@ class FormClassGroup:
 
 def narrow_class_group(D: int) -> FormClassGroup:
     """The narrow class group of discriminant D as cycle classes."""
-    return FormClassGroup(_cycles(D), quotient=False)
+    return FormClassGroup(_Cycles(D), quotient=False)
 
 
 def ordinary_class_group(D: int) -> FormClassGroup:
@@ -595,7 +575,7 @@ def ordinary_class_group(D: int) -> FormClassGroup:
     discriminant D has norm -1; the quotient is then the narrow group itself
     and its variant reads "narrow".
     """
-    return FormClassGroup(_cycles(D), quotient=True)
+    return FormClassGroup(_Cycles(D), quotient=True)
 
 
 def _two_part(structure: tuple[int, ...]) -> Abelian2Group:
@@ -629,7 +609,7 @@ def class_group_summary(D: int) -> ClassGroupSummary:
     small relation matrix.  Only the summary is kept, not the cycles, and
     only for the last _CACHE_SIZE discriminants.
     """
-    cycles = _cycles(D)
+    cycles = _Cycles(D)
     h_narrow = len(cycles.least)
     return ClassGroupSummary(
         D,

@@ -51,7 +51,7 @@ def prime_discriminants(D: int) -> list[int]:
         fac = factorize(abs(D))
     if fac is None or any(e > 1 for p, e in fac if p != 2):
         raise NotFundamental(f"{D} is not a fundamental discriminant")
-    out = [starred_prime(p) for p, _ in fac if p != 2]
+    out = [p if p % 4 == 1 else -p for p, _ in fac if p != 2]  # factorize proved p
     r = D // math.prod(out)
     return out if r == 1 else out + [r]
 

@@ -123,6 +123,21 @@ def test_verify_tests_no_prime_again(monkeypatch):
     assert tested == []
 
 
+def test_factorize_tests_only_what_trial_division_leaves_open(monkeypatch):
+    # with no sieve, trial division proves a cofactor below the square of the
+    # next trial prime, and the prime discriminants trust factorize
+    monkeypatch.setattr(arith, "_spf", [])
+    tested = count_prime_tests(monkeypatch)
+    genus.prime_discriminants(10920)
+    assert tested == []
+    assert cli.run(["s1s2", "56000168"], io.StringIO()) == 0
+    assert tested == []
+    # a cofactor left after every trial prime is tested, and so is each part
+    # Pollard rho splits it into
+    arith.factorize(5 * 1000003 * 1000033)
+    assert sorted(tested) == [1000003, 1000033, 1000036000099]
+
+
 def test_cli_import_loads_no_process_pool():
     # sweeps run in process; a pool import would cost every CLI start, and
     # so would dataclasses, which loads inspect, ast, dis and tokenize, and
@@ -520,8 +535,8 @@ GOLDEN_STDOUT = {
     ("enumerate", "--csv", "--min", "1000000", "--max", "1002000"): (
         "0f4713fb83bf1940fb7bd010ebbdddcc9cfe1c5a1af98fd538a00b08e8b15ae3"
     ),
-    # just below 10**12: the cofactors need the twelve-witness tier, and the
-    # listed primes lie beyond the 4096 entries of the smallest sieve
+    # just below 10**12: the listed primes lie beyond the 4096 entries of the
+    # smallest sieve, and the cofactors are proved by the window sieve
     ("enumerate", "--csv", "--min", "999999990001", "--max", "1000000000000"): (
         "cdd1cc5080e13b35a824b1c0d46e670792666aecf00d8f10360b76cdca1f4e62"
     ),
@@ -535,6 +550,10 @@ GOLDEN_STDOUT = {
     # a large ordinary group, (2, 3336)
     ("classgroup", "40000000004", "--ordinary"): (
         "3e37565680fc1703c816a84478cbcc2035a857bd7830be7d82f46a1548761e78"
+    ),
+    # the largest D the CLI accepts: the most stored keys, lookups and walks
+    ("classgroup", "999999999997"): (
+        "1807c4ef9d7f17833d0e212bbf55905a70d8a7a7a02d1eca9bfbce94bc84bc16"
     ),
     # narrow (3, 12): a structure that is not a 2-group
     ("classgroup", "226580"): (

@@ -255,7 +255,7 @@ def test_summary_composes_once_per_class_found(monkeypatch):
     compose_raw = oracle._compose_raw
     monkeypatch.setattr(oracle, "_compose_raw", counted)
     for D in (5, 60, 1365, 32009, 226580, 3999932, 400000020):
-        cycles = oracle._cycles(D)
+        cycles = oracle._Cycles(D)
         calls.clear()
         oracle.class_group_summary.__wrapped__(D)
         assert len(calls) < len(cycles.least) >> cycles.flip, D
@@ -433,7 +433,7 @@ def _reference_group(ref, quotient):
 
 def _assert_builders_agree(D):
     ref = _enumerated_cycles(D)
-    new = oracle._cycles(D)
+    new = oracle._Cycles(D)
     primitive = {
         f for f in _reduced_forms_by_full_sieve(D, ref.s) if math.gcd(*f) == 1
     }
@@ -638,7 +638,7 @@ def test_closure_takes_roots_only_for_generators_that_grow_the_group(monkeypatch
         roots.clear()
         oracle.class_group_summary.__wrapped__(D)
         took = len(roots)
-        assert took <= len(oracle._cycles(D).relations) + 2, (D, took)
+        assert took <= len(oracle._Cycles(D).relations) + 2, (D, took)
 
 
 def test_bounded_summary_cache_leaves_the_verify_document_unchanged(monkeypatch):
