@@ -15,8 +15,9 @@ The sign class sigma maps the reduced form (a, b, c) to (-a, b, -c), so the
 cycles C and sigma C hold the same forms up to sign: one walk numbers both,
 and only the forms with a < 0 are stored, each keyed by the int
 a*(isqrt(D) + 1) + b (Buchmann and Vollmer, Binary Quadratic Forms, 2007,
-ch. 6).  One builder finds the cycles of D; the narrow group, its
-sign-class quotient (the ordinary group) and the summaries are read off it.
+ch. 6).  One object finds the cycles of D and answers every class lookup;
+the narrow group, its sign-class quotient (the ordinary group) and the
+summaries are read off it.
 A group lists each class by its least reduced form, in ascending order.
 Structure is the Smith normal form of the relations the closure finds on
 its way, each generator's first power that falls in the group before it;
