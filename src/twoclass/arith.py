@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple
 
 
@@ -174,11 +174,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Sorted prime factorization [(p, e), ...] of n >= 1.
 
     The sieve answers where it reaches.  Beyond it, n < 2**64 is divided by
-    the primes up to 2**10 only: a cofactor left when they pass its square
-    root is prime, and Pollard rho splits a larger one into parts that
-    is_prime settles.  A larger n is divided by every odd number up to
-    10**6 first, since is_prime settles no part of 2**64 or more: so a
-    product of four primes near 10**5 is still factored.
+    the primes up to 2**10 only, and a larger n by 2 and every odd number up
+    to 10**6, since is_prime settles no part of 2**64 or more: so a product
+    of four primes near 10**5 is still factored.  In both ranges a cofactor
+    left when the divisors pass its square root is prime, recorded with no
+    test, and Pollard rho splits a larger one into parts that is_prime settles.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
@@ -190,21 +190,17 @@ def factorize(n: int) -> list[tuple[int, int]]:
             n //= p
         return sorted(out.items())
     if n < _MR_LIMIT:
-        for p in _TRIAL_PRIMES:
-            if p * p > n:  # no factor up to its square root: n is 1 or prime
-                if n > 1:
-                    out[n], n = 1, 1
-                break
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
+        divisors = _TRIAL_PRIMES
     else:
-        p = 2
-        while p * p <= n and p <= _TRIAL_BOUND:
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-            p += 1 if p == 2 else 2
+        divisors = chain((2,), range(3, _TRIAL_BOUND + 1, 2))
+    for p in divisors:
+        if p * p > n:  # no factor up to its square root: n is 1 or prime
+            if n > 1:
+                out[n], n = 1, 1
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

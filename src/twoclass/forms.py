@@ -260,7 +260,7 @@ def _prime_forms(D: int, s: int, seen: bytes) -> Iterator[tuple[int, int, int]]:
         b2 = next((b for b in range(4) if (b * b - D) % 8 == 0), None)
         if b2 is not None:
             yield _prime_form(2, b2, D, s)
-    spf = spf_table(s + 1)
+    spf = spf_table(s // 2 + 1)  # p <= s//2 + 1 is read, no further
     for p in range(3, s // 2 + 2, 2):
         if spf[p] != p:
             continue
@@ -327,9 +327,10 @@ class _Cycles:
 
     The principal cycle is walked first, which shows whether the sign class
     is principal; then the group is closed under the generators, which read
-    seen as the walks set it.  The group is kept in mixed radix: entry
-    u + m*t of H<x> is H[u] x^t for m = #H, and the index in H of the first
-    power x^n in H gives the relation of x.  Each class of H<x> outside H
+    seen as the walks set it.  The cycle ids are mixed-radix positions: the
+    closure walks each new coset H x^t in order, and every class in it is
+    new, so cycle u + n*t of H<x> is H[u] x^t for n = #H, and the id of the
+    first power of x in H gives the relation of x.  Each class of H<x> outside H
     costs one composition of its least form with the generator, and one
     walk, unless it is the sign partner (its id ^ 1) of a class just found.
     """
@@ -346,9 +347,7 @@ class _Cycles:
         if not flip:  # sigma C = C: the ids 1 of the walk were provisional
             for key in self.cycle_of:
                 self.cycle_of[key] = 0
-        step = 1 + flip  # group[2k + 1] is group[2k] times the sign class
-        group = list(range(step))
-        index = {c: u for u, c in enumerate(group)}
+        step = 1 + flip  # cycle 2k + 1 is cycle 2k times the sign class
         # a presentation of the narrow group: with radices n_0, n_1, ... of the
         # closure (n_0 = 2 for the sign class when flip), row j says that
         # n_j e_j - sum(d_i e_i) is a relation, where d_i are the digits of
@@ -356,26 +355,20 @@ class _Cycles:
         self.relations = relations = [[2]] * flip  # the sign class has order 2
         id_of, least = self.id_of, self.least
         for g in _prime_forms(D, s, self._seen):
-            p, b, _ = g
-            x = id_of(_reduce(*g, D, s) if 2 * p >= s or b <= 0 else g)
-            coset, y, grown = group, x, []
-            while y not in index:
-                # the coset H x^k is (H x^(k-1)) x; group[0] = 1 puts x^k first
-                heads = [y] + [
-                    id_of(_compose_raw(least[h], g, D, s)) for h in coset[step::step]
-                ]
-                coset = [h ^ t for h in heads for t in range(step)]
-                grown += coset
+            n = len(least)  # H is the cycles 0 .. n - 1
+            y = id_of(_reduce(*g, D, s))
+            while y >= n:
+                # the coset H x^k is (H x^(k-1)) x, numbered y .. y + n - 1
+                for h in range(y - n + step, y, step):
+                    id_of(_compose_raw(least[h], g, D, s))
                 y = id_of(_compose_raw(least[y], g, D, s))
-            if grown:
+            if len(least) > n:
                 # the radices are the diagonal of the relations
-                u, row = index[y], []
+                u, row = y, []
                 for r in relations:
                     u, digit = divmod(u, r[-1])
                     row.append(-digit)
-                relations.append(row + [len(grown) // len(group) + 1])
-                index.update(zip(grown, range(len(group), len(group) + len(grown))))
-                group += grown
+                relations.append(row + [len(least) // n])
 
     def _number(self, f, cid: int, pid: int) -> bool:
         """Walk the cycle of f as cid and its sign partner as pid, and record

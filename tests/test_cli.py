@@ -136,6 +136,11 @@ def test_factorize_tests_only_what_trial_division_leaves_open(monkeypatch):
     # Pollard rho splits it into
     arith.factorize(5 * 1000003 * 1000033)
     assert sorted(tested) == [1000003, 1000033, 1000036000099]
+    # at and above 2**64 too, the cofactor below the next divisor's square
+    # is recorded untested
+    tested.clear()
+    arith.factorize(2**45 * 1000003)
+    assert tested == []
 
 
 def test_cli_import_loads_no_process_pool():

@@ -665,3 +665,7 @@ def test_oracle_never_grows_the_sweep_sieve(monkeypatch):
     argv = ["verify", "--min", "240000", "--max", "240100"]
     assert cli.run(argv, io.StringIO()) == 0
     assert len(arith._spf) <= 4096
+    # the generators' loop reads the sieve up to s//2 + 1 only
+    D = 999999999997
+    class_group_summary.__wrapped__(D)
+    assert len(arith._spf) <= math.isqrt(D) // 2 + 2
