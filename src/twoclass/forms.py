@@ -260,7 +260,7 @@ def _prime_forms(D: int, s: int, seen: bytes) -> Iterator[tuple[int, int, int]]:
         b2 = next((b for b in range(4) if (b * b - D) % 8 == 0), None)
         if b2 is not None:
             yield _prime_form(2, b2, D, s)
-    spf = spf_table(s // 2 + 1)  # p <= s//2 + 1 is read, no further
+    spf = spf_table(s // 2 + 1)  # the loop reads p <= s//2 + 1 only
     for p in range(3, s // 2 + 2, 2):
         if spf[p] != p:
             continue
